@@ -4,12 +4,13 @@
 //
 // Before the google-benchmark suite runs, a hand-rolled kernel suite times
 // the optimized matmul/conv kernels against the kept naive references at
-// 1/2/4/8 threads plus the activation wire codec, and writes the results
-// to BENCH_kernels.json (op, shape, threads, GFLOP/s — GB/s for the codec
-// entries, speedup vs the serial reference) so the perf trajectory is
-// tracked across PRs. An allocation probe then measures heap and
-// workspace-arena traffic per conv2d forward/backward step after warmup,
-// so the zero-steady-state-allocation property is a number, not a claim.
+// 1/2/4/8 threads plus the wire codecs and the message checksum, and
+// writes the results to BENCH_kernels.json (op, shape, threads, GFLOP/s —
+// GB/s for the codec and checksum entries, speedup vs the serial
+// reference) so the perf trajectory is tracked across PRs. An allocation
+// probe then measures heap and workspace-arena traffic per conv2d
+// forward/backward step after warmup, so the zero-steady-state-allocation
+// property is a number, not a claim.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -381,6 +382,31 @@ void run_kernel_suite() {
                        wire_gb / t_q / 1e9, 1.0, "gbps"});
     std::printf("  %-18s %-22s threads=1: %7.3f GB/s (fp32-wire bytes)\n",
                 "int8_bucket_codec", "64KiB_bucket", wire_gb / t_q / 1e9);
+  }
+
+  {
+    // Message checksum throughput: Message::intact() re-hashes the whole
+    // fp64 payload, which is the receive-side verify cost of every message
+    // under a fault plan or off a socket (and equals the send-side hash).
+    // The zero-probability fault plan only makes the send take a checksum.
+    const int64_t elems = (1 << 20) / 8;  // 1 MiB of fp64 payload
+    std::vector<double> data(static_cast<size_t>(elems));
+    for (int64_t i = 0; i < elems; ++i)
+      data[static_cast<size_t>(i)] = 0.001 * static_cast<double>(i % 997);
+    comm::FaultPlan plan;
+    plan.message_faults.emplace_back();
+    comm::InProcTransport transport(comm::LinkGrid::uniform(2, 100.0),
+                                    nullptr, plan);
+    (void)transport.send(0, 1, elems, data.data());
+    transport.end_step();
+    const comm::Message msg = transport.recv(1, 0);
+    const double payload_bytes = static_cast<double>(elems) * 8;
+    const double t_h = time_seconds(
+        [&] { benchmark::DoNotOptimize(msg.intact()); });
+    records.push_back({"payload_checksum", "1MiB_fp64", 1,
+                       payload_bytes / t_h / 1e9, 1.0, "gbps"});
+    std::printf("  %-18s %-22s threads=1: %7.3f GB/s (fp64 payload bytes)\n",
+                "payload_checksum", "1MiB_fp64", payload_bytes / t_h / 1e9);
   }
 
   {

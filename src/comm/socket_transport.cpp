@@ -231,6 +231,7 @@ void SocketTransport::handle_data(const std::vector<uint8_t>& body) {
   frame.msg.wire_bytes = reader.i64();
   frame.msg.seq = reader.i64();
   frame.msg.checksum = reader.u64();
+  frame.msg.checksummed = true;  // send() hashes every remote-bound frame
   const uint8_t flags = reader.u8();
   frame.msg.corrupted = (flags & kFlagCorrupted) != 0;
   frame.msg.retransmit = (flags & kFlagRetransmit) != 0;

@@ -1,11 +1,11 @@
 #include "comm/transport.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
 
-#include "tensor/serialize.hpp"
 #include "tensor/tensor.hpp"
 
 namespace comdml::comm {
@@ -41,6 +41,38 @@ uint64_t message_hash(uint64_t seed, int64_t step, int64_t src, int64_t dst,
 /// Top 53 bits as a uniform double in [0, 1).
 double hash_uniform(uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+/// Message checksum over the fp64 payload bits, one 64-bit word per
+/// element. Words stream round-robin through four independent
+/// multiply-rotate lanes (the tail feeds the first lanes), then mix64
+/// folds the length and the lanes. A lane step is a bijection of its word
+/// for a fixed lane state and of the lane state for a fixed word, and the
+/// fold is a bijection of each lane in turn, so changing any one element
+/// (any single bit flip included) always changes the result. Checkpoint
+/// framing keeps tensor::fnv1a: its files must stay readable.
+uint64_t payload_checksum(const std::vector<double>& payload) {
+  constexpr uint64_t kMul = 0x9e3779b185ebca87ull;
+  constexpr uint64_t kWordMul = 0xc2b2ae3d27d4eb4full;
+  const auto lane_step = [](uint64_t lane, double v) {
+    uint64_t word;
+    std::memcpy(&word, &v, sizeof(word));
+    return std::rotl(lane + word * kWordMul, 31) * kMul;
+  };
+  uint64_t lanes[4] = {kMul, kWordMul, ~kMul, ~kWordMul};
+  const size_t n = payload.size();
+  const double* p = payload.data();
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    lanes[0] = lane_step(lanes[0], p[i]);
+    lanes[1] = lane_step(lanes[1], p[i + 1]);
+    lanes[2] = lane_step(lanes[2], p[i + 2]);
+    lanes[3] = lane_step(lanes[3], p[i + 3]);
+  }
+  for (size_t l = 0; i < n; ++i, ++l) lanes[l] = lane_step(lanes[l], p[i]);
+  uint64_t h = mix64(static_cast<uint64_t>(n));
+  for (const uint64_t lane : lanes) h = mix64(h ^ lane);
+  return h;
 }
 
 }  // namespace
@@ -246,9 +278,7 @@ TransportStats merge_transport_stats(const std::vector<TransportStats>& parts) {
 
 bool Message::intact() const {
   if (corrupted) return false;
-  if (!has_payload()) return true;
-  return checksum ==
-         tensor::fnv1a(payload.data(), payload.size() * sizeof(double));
+  return !checksummed || checksum == payload_checksum(payload);
 }
 
 // ---- Transport --------------------------------------------------------------
@@ -368,7 +398,7 @@ bool Transport::has_endpoint_faults() const {
 }
 
 bool Transport::has_message_faults() const {
-  std::lock_guard<std::mutex> guard(mutex_);
+  // No lock: drop_prob and message_faults never change after construction.
   return faults_.drop_prob > 0.0 || !faults_.message_faults.empty();
 }
 
@@ -409,6 +439,12 @@ int64_t Transport::send(int64_t src, int64_t dst, int64_t elems,
   }
   const double span = transfer_seconds(wire, link.mbps, link.latency_sec);
   const bool local = local_endpoint(dst);
+  // Only a fault plan or a remote receiver can hand a verifier a tampered
+  // payload; elsewhere the checksum is never read. Hashing here, before
+  // the lock, keeps concurrent senders from serializing on it.
+  const bool fault_plan = has_message_faults();
+  const bool checksummed = fault_plan || !local;
+  const uint64_t checksum = checksummed ? payload_checksum(payload) : 0;
 
   // Remote frames are shipped after the lock is released: wire writes must
   // not serialize local accounting, and forward_remote may block.
@@ -450,11 +486,8 @@ int64_t Transport::send(int64_t src, int64_t dst, int64_t elems,
         rng_dropped ||
         (mf != nullptr &&
          fault_fires_locked(mf->drop_prob, src, dst, seq, kSaltDrop));
-    // Does a later NACK need the pre-codec payload? (unlocked read of the
-    // fault config — it's immutable after construction for message faults)
-    const bool parkable =
-        !local && data != nullptr && elems > 0 &&
-        (faults_.drop_prob > 0.0 || !faults_.message_faults.empty());
+    // Does a later NACK need the pre-codec payload?
+    const bool parkable = !local && data != nullptr && elems > 0 && fault_plan;
     if (dropped) {
       ++stats_.dropped_messages;
       ++stats_.dropped_per_edge[edge];
@@ -474,9 +507,8 @@ int64_t Transport::send(int64_t src, int64_t dst, int64_t elems,
     msg.wire_bytes = wire;
     msg.seq = seq;
     msg.retransmit = opts.retransmit;
-    if (!payload.empty())
-      msg.checksum =
-          tensor::fnv1a(payload.data(), payload.size() * sizeof(double));
+    msg.checksum = checksum;
+    msg.checksummed = checksummed;
     msg.payload = std::move(payload);
 
     bool duplicate = false;

@@ -215,9 +215,14 @@ struct Message {
   /// edge). Retransmits reuse the original's seq, which is how a
   /// ReliableChannel dedupes duplicated and re-sent copies.
   int64_t seq = 0;
-  /// FNV-1a over the delivered payload bytes at send time; 0 for
-  /// timing-only messages. A corrupted payload no longer matches.
+  /// Word-at-a-time hash of the delivered payload, taken at send time
+  /// only where a verifier can read it: the transport has a message-fault
+  /// plan (drops or MessageFault entries), or the destination is owned by
+  /// another process (every socket frame carries one). Fault-free
+  /// in-process traffic skips it. A corrupted payload no longer matches.
   uint64_t checksum = 0;
+  /// Whether `checksum` was taken; intact() compares it only then.
+  bool checksummed = false;
   /// Set by corruption faults. Timing-only transports carry no payload to
   /// flip, so the flag is what keeps Sim/InProc corruption parity.
   bool corrupted = false;
@@ -228,8 +233,8 @@ struct Message {
   std::vector<double> payload;  ///< empty on timing-only transports
 
   [[nodiscard]] bool has_payload() const noexcept { return !payload.empty(); }
-  /// Payload survived the wire: checksum matches (payload-moving) and no
-  /// corruption fault hit it (timing-only parity flag).
+  /// Payload survived the wire: no corruption fault hit it (timing-only
+  /// parity flag) and, when a checksum was taken, the payload matches it.
   [[nodiscard]] bool intact() const;
 };
 
@@ -426,7 +431,7 @@ class Transport {
   [[nodiscard]] bool has_endpoint_faults() const;
   /// True when messages can be lost, delayed, duplicated, or corrupted —
   /// callers use this to decide whether to route traffic through a
-  /// ReliableChannel.
+  /// ReliableChannel, and send() whether to checksum local traffic.
   [[nodiscard]] bool has_message_faults() const;
   /// Drop every undelivered message (mid-collective recovery restarts the
   /// survivor schedule from clean mailboxes). Stats are untouched: the

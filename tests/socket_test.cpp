@@ -16,6 +16,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <thread>
@@ -108,6 +109,35 @@ TEST(SocketTransport, PairDeliveryAcrossProcesses) {
   EXPECT_EQ(merged.total_wire_bytes, 12);
   EXPECT_EQ(merged.bytes_sent[0], 12);
   EXPECT_EQ(merged.bytes_received[1], 12);
+}
+
+TEST(SocketTransport, RemoteFramesAreChecksummedWithoutAFaultPlan) {
+  // Fault-free in-process traffic skips the checksum, but a frame that
+  // crossed the wire must stay verifiable even with no fault plan.
+  const auto addrs = unix_addrs(2);
+  SocketTransport t0(LinkGrid::uniform(2, 100.0),
+                     two_proc_config({0, 1}, 0, addrs));
+  SocketTransport t1(LinkGrid::uniform(2, 100.0),
+                     two_proc_config({0, 1}, 1, addrs));
+  t0.wait_ready();
+  t1.wait_ready();
+  EXPECT_FALSE(t0.has_message_faults());
+
+  const std::vector<double> payload = {1.0, -2.0, 3.5, 0.25, 8.0};
+  (void)t0.send(0, 1, 5, payload.data());
+  t0.end_step();
+  const Message m = t1.recv(1, 0);
+  t1.end_step();
+  EXPECT_TRUE(m.checksummed);
+  EXPECT_TRUE(m.intact());
+
+  Message tampered = m;
+  uint64_t word;
+  std::memcpy(&word, &tampered.payload[4], sizeof(word));
+  word ^= 1;
+  std::memcpy(&tampered.payload[4], &word, sizeof(word));
+  EXPECT_FALSE(tampered.corrupted);
+  EXPECT_FALSE(tampered.intact());
 }
 
 TEST(SocketTransport, BlockingRecvWaitsForTheWire) {
@@ -361,9 +391,9 @@ TEST(SocketTransport, StatsSnapshotIsSafeUnderConcurrentTraffic) {
       EXPECT_LE(s.bytes_received[1], kMessages * 8);
     }
   });
-  const double v = 2.0;
+  const double v[2] = {2.0, 2.0};
   for (int i = 0; i < kMessages; ++i) {
-    (void)t0.send(0, 1, 2, &v);
+    (void)t0.send(0, 1, 2, v);
     t0.end_step();
     (void)t1.recv(1, 0);
     t1.end_step();

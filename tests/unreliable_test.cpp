@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <unistd.h>
 #include <fstream>
@@ -159,6 +160,62 @@ TEST(MessageFaults, CorruptionFlipsPayloadAndFailsIntact) {
   ASSERT_TRUE(timing.has_value());
   EXPECT_FALSE(timing->intact());
   EXPECT_EQ(sim.stats().corrupt_messages, 1);
+}
+
+/// Flip bit `bit` of payload element `i` in place.
+void flip_bit(std::vector<double>& payload, size_t i, int bit) {
+  uint64_t word;
+  std::memcpy(&word, &payload[i], sizeof(word));
+  word ^= uint64_t{1} << bit;
+  std::memcpy(&payload[i], &word, sizeof(word));
+}
+
+TEST(MessageFaults, ChecksumCatchesSingleBitFlipsWithoutCorruptionFlag) {
+  // A fault plan whose probabilities are all zero never misbehaves, but it
+  // is a plan: every payload-moving send takes a checksum.
+  FaultPlan faults;
+  faults.message_faults.push_back(any_edge());
+  InProcTransport t(LinkGrid::uniform(2, 100.0), nullptr, faults);
+
+  // 7 elements: one full round of the four hash lanes plus a 3-word tail.
+  const std::vector<double> payload{1.5, -2.25, 3.0, 0.0, 1e-300, -7.0, 42.0};
+  t.send(0, 1, 7, payload.data());
+  t.end_step();
+  const auto msg = t.try_recv_from(1, 0);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_TRUE(msg->checksummed);
+  EXPECT_TRUE(msg->intact());
+  for (const size_t i : {0, 1, 2, 3, 4, 6}) {
+    for (const int bit : {0, 31, 52, 63}) {
+      Message tampered = *msg;
+      tampered.corrupted = false;
+      flip_bit(tampered.payload, i, bit);
+      EXPECT_FALSE(tampered.intact())
+          << "bit " << bit << " of element " << i << " went unnoticed";
+    }
+  }
+
+  // The length is hashed too: a trailing zero changes the checksum.
+  const std::vector<double> one{0.5};
+  const std::vector<double> padded{0.5, 0.0};
+  t.send(0, 1, 1, one.data());
+  t.send(0, 1, 2, padded.data());
+  t.end_step();
+  const auto a = t.try_recv_from(1, 0);
+  const auto b = t.try_recv_from(1, 0);
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+  EXPECT_NE(a->checksum, b->checksum);
+
+  // Fault-free in-process traffic has no verifier, so it takes no checksum.
+  InProcTransport clean(LinkGrid::uniform(2, 100.0));
+  clean.send(0, 1, 7, payload.data());
+  clean.end_step();
+  const auto plain = clean.try_recv_from(1, 0);
+  ASSERT_TRUE(plain.has_value());
+  EXPECT_FALSE(plain->checksummed);
+  EXPECT_TRUE(plain->intact());
+  EXPECT_EQ(plain->payload, payload);
 }
 
 TEST(MessageFaults, ReorderJumpsMessageToMailboxFront) {
