@@ -56,12 +56,46 @@ void merge_segment(const Message& msg, double* dst, const Segment& seg,
                    bool accumulate) {
   if (dst == nullptr || !msg.has_payload()) return;
   COMDML_DCHECK(msg.elems == seg.size());
+  const double* src = msg.data();
   if (accumulate) {
-    for (int64_t i = 0; i < seg.size(); ++i)
-      dst[seg.begin + i] += msg.payload[static_cast<size_t>(i)];
+    for (int64_t i = 0; i < seg.size(); ++i) dst[seg.begin + i] += src[i];
   } else {
-    for (int64_t i = 0; i < seg.size(); ++i)
-      dst[seg.begin + i] = msg.payload[static_cast<size_t>(i)];
+    for (int64_t i = 0; i < seg.size(); ++i) dst[seg.begin + i] = src[i];
+  }
+}
+
+/// Stepped executors borrow every send (Transport::SendOptions::borrow):
+/// a message may point into its sender's buffer until the step's receives
+/// are merged. That is only sound when no endpoint receives into a span it
+/// sends from in the same step, so every schedule is checked before it
+/// runs. Ring and halving/doubling (pre/post phases and survivor remaps
+/// included) satisfy it by construction.
+void check_borrow_safe(const SteppedSchedule& sched) {
+  std::vector<ScheduleStep::Send> by_src;
+  const auto src_less = [](const ScheduleStep::Send& a,
+                           const ScheduleStep::Send& b) {
+    return a.src < b.src;
+  };
+  for (size_t i = 0; i < sched.steps.size(); ++i) {
+    const ScheduleStep& step = sched.steps[i];
+    by_src.assign(step.sends.begin(), step.sends.end());
+    std::sort(by_src.begin(), by_src.end(), src_less);
+    for (const ScheduleStep::Recv& r : step.recvs) {
+      ScheduleStep::Send key;
+      key.src = r.dst;
+      const auto [lo, hi] =
+          std::equal_range(by_src.begin(), by_src.end(), key, src_less);
+      for (auto s = lo; s != hi; ++s)
+        COMDML_REQUIRE(
+            std::max(s->span.begin, r.span.begin) >=
+                std::min(s->span.end, r.span.end),
+            "schedule step " << i << ": endpoint " << r.dst
+                             << " receives [" << r.span.begin << ", "
+                             << r.span.end << ") from " << r.src
+                             << " while sending [" << s->span.begin << ", "
+                             << s->span.end << ") to " << s->dst
+                             << " in the same step");
+    }
   }
 }
 
@@ -196,9 +230,12 @@ SteppedSchedule halving_doubling_schedule(int64_t k, int64_t elems) {
   return sched;
 }
 
+constexpr Transport::SendOptions kBorrow{.borrow = true};
+
 /// Execute one schedule step: post every send, close the transport step,
-/// fold every delivered payload. With a channel, sends park retransmit
-/// copies and receives retry through backoff — the schedule completes over
+/// fold every delivered payload. Sends borrow the sender's buffer (see
+/// check_borrow_safe). With a channel, sends park retransmit copies and
+/// receives retry through backoff — the schedule completes over
 /// lossy/corrupting links exactly as it would over clean ones.
 void execute_schedule_step(Transport& t, const CollectiveRequest& req,
                            const ScheduleStep& step, ReliableChannel* ch) {
@@ -208,7 +245,7 @@ void execute_schedule_step(Transport& t, const CollectiveRequest& req,
     if (ch != nullptr)
       ch->send(s.src, s.dst, s.span.size(), payload);
     else
-      t.send(s.src, s.dst, s.span.size(), payload);
+      t.send(s.src, s.dst, s.span.size(), payload, kBorrow);
   }
   t.end_step();
   for (const ScheduleStep::Recv& r : step.recvs) {
@@ -390,8 +427,8 @@ class GossipExchange final : public Collective {
             continue;
           const Message msg = ch->recv(i, j);
           if (!real || !msg.has_payload()) continue;
-          for (int64_t x = 0; x < req.elems; ++x)
-            acc[x] += msg.payload[static_cast<size_t>(x)];
+          const double* in = msg.data();
+          for (int64_t x = 0; x < req.elems; ++x) acc[x] += in[x];
           ++pushes;
         }
         if (!real || pushes == 0) continue;
@@ -410,8 +447,8 @@ class GossipExchange final : public Collective {
         int64_t pushes = 0;
         while (auto msg = t.try_recv(i)) {
           if (!msg->has_payload() || !msg->intact()) continue;
-          for (int64_t x = 0; x < req.elems; ++x)
-            acc[x] += msg->payload[static_cast<size_t>(x)];
+          const double* in = msg->data();
+          for (int64_t x = 0; x < req.elems; ++x) acc[x] += in[x];
           ++pushes;
         }
         if (pushes == 0) continue;
@@ -539,8 +576,8 @@ class ParamServerRound final : public Collective {
       const Message msg = recv(server, selected[s]);
       if (!real || !msg.has_payload()) continue;
       const double w = weights[s] / wsum;
-      for (int64_t j = 0; j < req.elems; ++j)
-        mean[j] += w * msg.payload[static_cast<size_t>(j)];
+      const double* in = msg.data();
+      for (int64_t j = 0; j < req.elems; ++j) mean[j] += w * in[j];
     }
     // Download: the refreshed model returns the same way.
     for (const int64_t id : selected)
@@ -549,9 +586,9 @@ class ParamServerRound final : public Collective {
     for (const int64_t id : selected) {
       const Message msg = recv(id, server);
       if (!msg.has_payload()) continue;
+      const double* in = msg.data();
       double* mine = buffer_of(req, id);
-      for (int64_t j = 0; j < req.elems; ++j)
-        mine[j] = msg.payload[static_cast<size_t>(j)];
+      for (int64_t j = 0; j < req.elems; ++j) mine[j] = in[j];
     }
     return report_of(t);
   }
@@ -573,18 +610,21 @@ const Collective* const kRegistry[kProtocols] = {&kRing, &kHalvingDoubling,
 SteppedSchedule allreduce_schedule(Protocol protocol, int64_t agents,
                                    int64_t elems) {
   COMDML_CHECK(agents > 0 && elems >= 0);
+  SteppedSchedule sched;
   switch (protocol) {
     case Protocol::kRingAllReduce:
-      return ring_schedule(agents, elems);
+      sched = ring_schedule(agents, elems);
+      break;
     case Protocol::kHalvingDoublingAllReduce:
-      return halving_doubling_schedule(agents, elems);
+      sched = halving_doubling_schedule(agents, elems);
+      break;
     case Protocol::kGossip:
     case Protocol::kParamServer:
-      break;
+      COMDML_REQUIRE(false, "protocol '" << collective(protocol).name()
+                                         << "' has no stepped schedule");
   }
-  COMDML_REQUIRE(false, "protocol '" << collective(protocol).name()
-                                     << "' has no stepped schedule");
-  return {};
+  check_borrow_safe(sched);
+  return sched;
 }
 
 SteppedSchedule allreduce_schedule_over(
@@ -600,7 +640,9 @@ SteppedSchedule allreduce_schedule_over(
   SteppedSchedule sched = allreduce_schedule(protocol, m, elems);
   // The m-rank schedule speaks in virtual ranks 0..m-1; remap every message
   // endpoint onto the surviving ids. Merge order and spans are untouched, so
-  // the result is bit-identical to a from-scratch m-agent run.
+  // the result is bit-identical to a from-scratch m-agent run, and the
+  // remap is injective, so the borrow check allreduce_schedule ran still
+  // holds.
   for (ScheduleStep& step : sched.steps) {
     for (ScheduleStep::Send& s : step.sends) {
       s.src = participants[static_cast<size_t>(s.src)];
@@ -622,6 +664,7 @@ void execute_schedule_owned(const SteppedSchedule& sched, Transport& t,
   COMDML_REQUIRE(static_cast<int64_t>(owned.size()) == t.endpoints(),
                  "owned mask covers " << owned.size() << " endpoints, "
                                       << "transport has " << t.endpoints());
+  check_borrow_safe(sched);
   const auto is_owned = [&](int64_t e) {
     return owned[static_cast<size_t>(e)] != 0;
   };
@@ -631,7 +674,7 @@ void execute_schedule_owned(const SteppedSchedule& sched, Transport& t,
       const double* data = buffer_of(req, s.src);
       const double* payload =
           data != nullptr ? data + s.span.begin : nullptr;
-      t.send(s.src, s.dst, s.span.size(), payload);
+      t.send(s.src, s.dst, s.span.size(), payload, kBorrow);
     }
     // Close the step even when this process posted nothing: the positional
     // step history must line up across processes for the merged stats to
@@ -687,6 +730,7 @@ AsyncCollective::AsyncCollective(const SteppedSchedule& schedule,
       request_(std::move(request)),
       schedule_(&schedule) {
   validate_buffers(request_, transport.endpoints());
+  check_borrow_safe(schedule);
   if (schedule_->steps.empty()) finalized_ = true;  // k == 1: nothing to do
   if (transport.has_message_faults())
     channel_ = std::make_unique<ReliableChannel>(transport);

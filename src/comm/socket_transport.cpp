@@ -98,7 +98,26 @@ SocketTransport::~SocketTransport() {
     if (bound_.kind == SocketAddress::Kind::kUnix)
       (void)::unlink(bound_.path.c_str());
   }
+  note_arrival();
+}
+
+void SocketTransport::note_arrival() {
+  {
+    std::lock_guard<std::mutex> guard(mail_mutex_);
+    ++arrivals_;
+  }
   mail_cv_.notify_all();
+}
+
+uint64_t SocketTransport::arrivals() const {
+  std::lock_guard<std::mutex> guard(mail_mutex_);
+  return arrivals_;
+}
+
+void SocketTransport::wait_for_arrival(uint64_t seen,
+                                       std::chrono::milliseconds cap) const {
+  std::unique_lock<std::mutex> guard(mail_mutex_);
+  mail_cv_.wait_for(guard, cap, [&] { return arrivals_ != seen; });
 }
 
 void SocketTransport::wait_ready() const {
@@ -219,7 +238,7 @@ void SocketTransport::peer_lost(int64_t process) {
   for (int64_t e = 0; e < endpoints(); ++e)
     if (cfg_.owner[static_cast<size_t>(e)] == process) fail_endpoint(e);
   peer_died_.store(true);
-  mail_cv_.notify_all();
+  note_arrival();
 }
 
 void SocketTransport::handle_data(const std::vector<uint8_t>& body) {
@@ -241,7 +260,7 @@ void SocketTransport::handle_data(const std::vector<uint8_t>& body) {
   frame.span = reader.f64();
   frame.msg.payload = reader.f64s();
   inject_remote(std::move(frame));
-  mail_cv_.notify_all();
+  note_arrival();
 }
 
 void SocketTransport::handle_nack_frame(const std::vector<uint8_t>& body) {
@@ -345,6 +364,7 @@ Message SocketTransport::recv(int64_t dst, int64_t src) {
   wait_ready();
   const auto deadline = Clock::now() + seconds_of(cfg_.recv_timeout_sec);
   for (;;) {
+    const uint64_t seen = arrivals();
     if (auto msg = Transport::try_recv_from(dst, src))
       return std::move(*msg);
     // A peer died after the mesh formed: this schedule is doomed (the
@@ -360,8 +380,7 @@ Message SocketTransport::recv(int64_t dst, int64_t src) {
                    "socket recv timeout waiting for "
                        << src << " -> " << dst
                        << " (schedule bug, or a wedged peer process)");
-    std::unique_lock<std::mutex> guard(mail_mutex_);
-    mail_cv_.wait_for(guard, std::chrono::milliseconds(2));
+    wait_for_arrival(seen, std::chrono::milliseconds(2));
   }
 }
 
@@ -374,10 +393,10 @@ std::optional<Message> SocketTransport::try_recv_from(int64_t dst,
   // mistake wire latency for loss and flood the edge with retransmits.
   const auto deadline = Clock::now() + seconds_of(cfg_.recv_grace_sec);
   for (;;) {
+    const uint64_t seen = arrivals();
     if (auto msg = Transport::try_recv_from(dst, src)) return msg;
     if (Clock::now() >= deadline) return std::nullopt;
-    std::unique_lock<std::mutex> guard(mail_mutex_);
-    mail_cv_.wait_for(guard, std::chrono::milliseconds(1));
+    wait_for_arrival(seen, std::chrono::milliseconds(1));
   }
 }
 

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <thread>
@@ -132,6 +133,12 @@ class SocketTransport final : public Transport {
   void handle_nack_frame(const std::vector<uint8_t>& body);
   [[nodiscard]] bool send_to_peer(int64_t process, uint16_t type,
                                   const std::vector<uint8_t>& body);
+  /// Count a mailbox change (frame injected, peer lost) and wake waiters.
+  void note_arrival();
+  /// Arrival count to sample *before* checking the mailbox.
+  [[nodiscard]] uint64_t arrivals() const;
+  /// Sleep until the count moves past `seen`, or `cap` passes.
+  void wait_for_arrival(uint64_t seen, std::chrono::milliseconds cap) const;
 
   SocketPeerConfig cfg_;
   SocketAddress bound_;
@@ -148,9 +155,14 @@ class SocketTransport final : public Transport {
   bool ready_ = false;
   std::string setup_error_;
 
-  // Wakes receives blocked on remote frames (inject / peer death).
+  // Wakes receives blocked on remote frames (inject / peer death). Every
+  // wake-up bumps `arrivals_` under `mail_mutex_` before notifying, and a
+  // waiter samples the counter before it checks the mailbox, so a frame
+  // that lands between the check and the wait is never missed; the wait's
+  // timeout is only a liveness fallback.
   mutable std::mutex mail_mutex_;
   mutable std::condition_variable mail_cv_;
+  uint64_t arrivals_ = 0;  // guarded by mail_mutex_
 
   // Last payload sent per remote directed edge, kept pre-codec so a NACK
   // retransmission re-encodes exactly like a fresh send. Only populated

@@ -136,6 +136,7 @@ namespace {
 class IdentityCodec final : public Codec {
  public:
   [[nodiscard]] std::string_view name() const override { return "fp32"; }
+  [[nodiscard]] bool lossless() const override { return true; }
   [[nodiscard]] int64_t wire_bytes(int64_t elems,
                                    const double* /*data*/) const override {
     return fp32_wire_bytes(elems);
@@ -278,6 +279,8 @@ TransportStats merge_transport_stats(const std::vector<TransportStats>& parts) {
 
 bool Message::intact() const {
   if (corrupted) return false;
+  // A checksummed message always owns its payload: borrowed sends are
+  // never hashed.
   return !checksummed || checksum == payload_checksum(payload);
 }
 
@@ -427,22 +430,28 @@ int64_t Transport::send(int64_t src, int64_t dst, int64_t elems,
   const LinkModel& link = grid_.link(src, dst);
   COMDML_REQUIRE(link.usable(),
                  "send over unusable link " << src << " -> " << dst);
-  // Payload-moving sends encode the copy once (measure + lossy round trip
-  // in one codec pass); timing-only sends just measure.
+  const bool local = local_endpoint(dst);
+  const bool fault_plan = has_message_faults();
+  // A borrowed send keeps a view of `data` when nothing could need a copy
+  // of its own: the receiver is in this process, no fault can flip, drop
+  // or retransmit it, and the codec leaves the values as they are.
+  const bool moves_payload = delivers_payload() && data != nullptr && elems > 0;
+  const bool borrowed = moves_payload && opts.borrow && local && !fault_plan &&
+                        codec_->lossless();
+  // Copying sends encode the copy once (measure + lossy round trip in one
+  // codec pass); borrowed and timing-only sends just measure.
   std::vector<double> payload;
   int64_t wire = 0;
-  if (delivers_payload() && data != nullptr && elems > 0) {
+  if (moves_payload && !borrowed) {
     payload.assign(data, data + elems);
     wire = codec_->encode(payload.data(), elems);
   } else {
     wire = codec_->wire_bytes(elems, data);
   }
   const double span = transfer_seconds(wire, link.mbps, link.latency_sec);
-  const bool local = local_endpoint(dst);
   // Only a fault plan or a remote receiver can hand a verifier a tampered
   // payload; elsewhere the checksum is never read. Hashing here, before
   // the lock, keeps concurrent senders from serializing on it.
-  const bool fault_plan = has_message_faults();
   const bool checksummed = fault_plan || !local;
   const uint64_t checksum = checksummed ? payload_checksum(payload) : 0;
 
@@ -510,6 +519,7 @@ int64_t Transport::send(int64_t src, int64_t dst, int64_t elems,
     msg.checksum = checksum;
     msg.checksummed = checksummed;
     msg.payload = std::move(payload);
+    if (borrowed) msg.borrowed = data;
 
     bool duplicate = false;
     bool reorder = false;

@@ -24,6 +24,16 @@
 // Wire format: payload elements are fp32 on the wire (elems * 4 bytes
 // through the default codec); in-process math keeps fp64 accumulators, the
 // same precision split the original AllReduce executor used.
+//
+// Payload ownership: a send normally copies the sender's values into the
+// message (and through the codec). Stepped collectives instead *borrow*
+// (SendOptions::borrow): when the destination is in this process, the
+// transport has no message-fault plan and the codec is lossless (fp32),
+// the message keeps a pointer into the sender's buffer and the receiver
+// merges straight from it — fault-free, lossless, in-process stepped
+// traffic moves no copy at all. Everything else still copies: quantized
+// payloads, fault plans (checksums, corruption flips, retransmit windows),
+// frames to other processes, and every send without the borrow flag.
 #pragma once
 
 #include <cstdint>
@@ -92,6 +102,10 @@ class Codec {
  public:
   virtual ~Codec() = default;
   [[nodiscard]] virtual std::string_view name() const = 0;
+  /// True when `transform` is the identity on fp64 payloads, so a receiver
+  /// may read the sender's values directly (borrowed sends). Only the fp32
+  /// identity codec says so.
+  [[nodiscard]] virtual bool lossless() const { return false; }
   [[nodiscard]] virtual int64_t wire_bytes(int64_t elems,
                                            const double* data) const = 0;
   virtual void transform(double* /*data*/, int64_t /*elems*/) const {}
@@ -230,9 +244,22 @@ struct Message {
   /// Message is invisible to recv/try_recv until the shared step counter
   /// reaches this value (-1 = deliverable immediately). Delay faults set it.
   int64_t deliver_after_step = -1;
-  std::vector<double> payload;  ///< empty on timing-only transports
+  /// Owned copy of the delivered values (after the codec). Empty on
+  /// timing-only transports and for borrowed messages.
+  std::vector<double> payload;
+  /// Borrowed messages (see Transport::SendOptions::borrow) point into the
+  /// sender's buffer instead of owning `payload`; null otherwise. Valid
+  /// only until the sender's step is merged.
+  const double* borrowed = nullptr;
 
-  [[nodiscard]] bool has_payload() const noexcept { return !payload.empty(); }
+  /// The delivered values, owned or borrowed: `elems` of them when
+  /// has_payload(). Every payload reader goes through this.
+  [[nodiscard]] const double* data() const noexcept {
+    return borrowed != nullptr ? borrowed : payload.data();
+  }
+  [[nodiscard]] bool has_payload() const noexcept {
+    return borrowed != nullptr || !payload.empty();
+  }
   /// Payload survived the wire: no corruption fault hit it (timing-only
   /// parity flag) and, when a checksum was taken, the payload matches it.
   [[nodiscard]] bool intact() const;
@@ -321,19 +348,31 @@ class Transport {
   /// Endpoints with a usable outbound link from `i`, ascending.
   [[nodiscard]] std::vector<int64_t> neighbors(int64_t i) const;
 
-  /// Retransmission metadata for send(): a ReliableChannel re-sends a lost
+  /// Per-send metadata. Retransmission: a ReliableChannel re-sends a lost
   /// message under its original sequence number with the retransmit flag,
   /// so receivers can dedupe and accounting can separate retry traffic.
   struct SendOptions {
     bool retransmit = false;
     int64_t seq = -1;  ///< -1 = assign the edge's next sequence number
+    /// Borrow contract: the caller promises not to change
+    /// `data[0, elems)` until the receives of the current step are merged
+    /// (and to clear_pending() or reset() before reusing a transport whose
+    /// step was aborted by an exception). The transport may then deliver a
+    /// view of `data` instead of a copy; see send().
+    bool borrow = false;
   };
 
   /// Post `elems` fp32-wire values from src to dst. `data` (fp64, length
-  /// `elems`) may be null for timing-only traffic; payload-moving
-  /// transports copy it through the codec. Zero-element messages are legal
-  /// and still pay the link latency. Throws on an unusable link. Returns
-  /// the message's per-edge sequence number.
+  /// `elems`) may be null for timing-only traffic. Payload-moving
+  /// transports copy it through the codec, except that a borrowed send
+  /// (SendOptions::borrow) to a destination in this process, on a
+  /// transport without a message-fault plan and with a lossless codec,
+  /// keeps only a pointer to `data` (Message::borrowed): nothing needs a
+  /// checksum, a corruption flip, a retransmit copy or an encode there.
+  /// Accounting (seq, bytes, spans, fault decisions) is the same either
+  /// way. Zero-element messages are legal and still pay the link latency.
+  /// Throws on an unusable link. Returns the message's per-edge sequence
+  /// number.
   int64_t send(int64_t src, int64_t dst, int64_t elems,
                const double* data = nullptr);
   int64_t send(int64_t src, int64_t dst, int64_t elems, const double* data,
@@ -529,6 +568,8 @@ class SimTransport final : public Transport {
 
 /// Moves real payloads between in-process agents through per-destination
 /// mailboxes while keeping the exact same accounting as SimTransport.
+/// Borrowed sends over a fault-free fp32 transport move no copy: the
+/// receiver merges straight from the sender's buffer.
 class InProcTransport final : public Transport {
  public:
   using Transport::Transport;

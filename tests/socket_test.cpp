@@ -140,6 +140,41 @@ TEST(SocketTransport, RemoteFramesAreChecksummedWithoutAFaultPlan) {
   EXPECT_FALSE(tampered.intact());
 }
 
+TEST(SocketTransport, BorrowedSendsCopyOnlyWhenTheFrameLeavesTheProcess) {
+  // Endpoints 0 and 2 live in process 0, endpoint 1 in process 1. A
+  // borrowed send between local endpoints keeps a view of the sender's
+  // buffer; the same borrowed send to the remote endpoint is serialized
+  // from an owned, checksummed copy.
+  const auto addrs = unix_addrs(2);
+  SocketTransport t0(LinkGrid::uniform(3, 100.0),
+                     two_proc_config({0, 1, 0}, 0, addrs));
+  SocketTransport t1(LinkGrid::uniform(3, 100.0),
+                     two_proc_config({0, 1, 0}, 1, addrs));
+  t0.wait_ready();
+  t1.wait_ready();
+  Transport::SendOptions borrow;
+  borrow.borrow = true;
+
+  const std::vector<double> payload = {1.0, -2.0, 3.5, 0.25, 8.0};
+  (void)t0.send(0, 2, 5, payload.data(), borrow);
+  (void)t0.send(0, 1, 5, payload.data(), borrow);
+  t0.end_step();
+  const Message local = t0.recv(2, 0);
+  EXPECT_TRUE(local.payload.empty());
+  EXPECT_EQ(local.data(), payload.data());
+  EXPECT_FALSE(local.checksummed);
+
+  const Message remote = t1.recv(1, 0);
+  t1.end_step();
+  EXPECT_EQ(remote.borrowed, nullptr);
+  EXPECT_EQ(remote.payload, payload);
+  EXPECT_TRUE(remote.checksummed);
+  EXPECT_TRUE(remote.intact());
+  Message tampered = remote;
+  tampered.payload[2] = -tampered.payload[2];
+  EXPECT_FALSE(tampered.intact());
+}
+
 TEST(SocketTransport, BlockingRecvWaitsForTheWire) {
   const auto addrs = unix_addrs(2);
   SocketTransport t0(LinkGrid::uniform(2, 100.0),

@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <thread>
 
 #include "comm/allreduce.hpp"
@@ -547,6 +549,239 @@ TEST(SteppedSchedule, BlockingRunExecutesExactlyTheScheduleSteps) {
           << collective(p).name() << " k=" << k;
     }
   }
+}
+
+// ---- borrowed sends ---------------------------------------------------------
+
+/// Every TransportStats field, compared exactly (doubles included).
+void expect_stats_identical(const TransportStats& a, const TransportStats& b) {
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.dropped_messages, b.dropped_messages);
+  EXPECT_EQ(a.total_wire_bytes, b.total_wire_bytes);
+  EXPECT_EQ(a.seconds, b.seconds);
+  EXPECT_EQ(a.bytes_sent, b.bytes_sent);
+  EXPECT_EQ(a.bytes_received, b.bytes_received);
+  EXPECT_EQ(a.send_seconds, b.send_seconds);
+  EXPECT_EQ(a.recv_seconds, b.recv_seconds);
+  EXPECT_EQ(a.dropped_per_edge, b.dropped_per_edge);
+  EXPECT_EQ(a.retransmit_messages, b.retransmit_messages);
+  EXPECT_EQ(a.retransmit_wire_bytes, b.retransmit_wire_bytes);
+  EXPECT_EQ(a.duplicated_messages, b.duplicated_messages);
+  EXPECT_EQ(a.duplicated_wire_bytes, b.duplicated_wire_bytes);
+  EXPECT_EQ(a.corrupt_messages, b.corrupt_messages);
+  EXPECT_EQ(a.delayed_messages, b.delayed_messages);
+  EXPECT_EQ(a.reordered_messages, b.reordered_messages);
+  EXPECT_EQ(a.backoff_seconds, b.backoff_seconds);
+  EXPECT_EQ(a.step_spans, b.step_spans);
+  EXPECT_EQ(a.step_message_counts, b.step_message_counts);
+}
+
+/// Drive `sched` through plain copying send/recv and a hand-written merge,
+/// then scale to the mean exactly like the collective executors do.
+void run_copying(const SteppedSchedule& sched, Transport& t,
+                 std::vector<std::vector<double>>& bufs) {
+  for (const ScheduleStep& step : sched.steps) {
+    for (const auto& s : step.sends)
+      t.send(s.src, s.dst, s.span.size(),
+             bufs[static_cast<size_t>(s.src)].data() + s.span.begin);
+    t.end_step();
+    for (const auto& r : step.recvs) {
+      const Message msg = t.recv(r.dst, r.src);
+      EXPECT_EQ(msg.borrowed, nullptr);
+      double* out = bufs[static_cast<size_t>(r.dst)].data() + r.span.begin;
+      for (int64_t i = 0; i < r.span.size(); ++i) {
+        const double v = msg.payload[static_cast<size_t>(i)];
+        out[i] = r.accumulate ? out[i] + v : v;
+      }
+    }
+  }
+  if (!sched.scale_to_mean) return;
+  std::vector<int64_t> parts = sched.participants;
+  if (parts.empty())
+    for (int64_t a = 0; a < t.endpoints(); ++a) parts.push_back(a);
+  const double inv_k = 1.0 / static_cast<double>(parts.size());
+  for (const int64_t a : parts)
+    for (double& v : bufs[static_cast<size_t>(a)]) v *= inv_k;
+}
+
+void expect_bits_equal(const std::vector<std::vector<double>>& a,
+                       const std::vector<std::vector<double>>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].size(), b[i].size());
+    EXPECT_EQ(std::memcmp(a[i].data(), b[i].data(),
+                          a[i].size() * sizeof(double)),
+              0)
+        << "buffer " << i;
+  }
+}
+
+TEST(BorrowedSends, CollectivesMatchTheCopyingPathBitForBit) {
+  for (const Protocol p :
+       {Protocol::kRingAllReduce, Protocol::kHalvingDoublingAllReduce}) {
+    for (const int k : {5, 16}) {
+      for (const int64_t elems : {int64_t{7}, int64_t{1001}}) {
+        SCOPED_TRACE(std::string(collective(p).name()) +
+                     " k=" + std::to_string(k) +
+                     " elems=" + std::to_string(elems));
+        const auto inputs =
+            random_buffers(k, elems, 7000 + static_cast<uint64_t>(k + elems));
+        auto borrowed = inputs;
+        InProcTransport fast(LinkGrid::uniform(k, 100.0));
+        CollectiveRequest req;
+        req.elems = elems;
+        req.buffers = pointers(borrowed);
+        (void)collective(p).run(fast, req);
+
+        auto copied = inputs;
+        InProcTransport slow(LinkGrid::uniform(k, 100.0));
+        run_copying(allreduce_schedule(p, k, elems), slow, copied);
+
+        expect_bits_equal(borrowed, copied);
+        expect_stats_identical(fast.stats(), slow.stats());
+      }
+    }
+  }
+}
+
+TEST(BorrowedSends, SurvivorScheduleMatchesTheCopyingPathBitForBit) {
+  // Halving/doubling re-formed over 7 of 10 endpoints: a non-power-of-two
+  // survivor set, so the pre/post phases run on remapped ids.
+  const int64_t k = 10, elems = 333;
+  const std::vector<int64_t> live{0, 2, 3, 5, 6, 7, 9};
+  const auto sched = allreduce_schedule_over(
+      Protocol::kHalvingDoublingAllReduce, live, elems);
+  const auto inputs = random_buffers(k, elems, 7100);
+
+  auto borrowed = inputs;
+  InProcTransport fast(LinkGrid::uniform(k, 100.0));
+  CollectiveRequest req;
+  req.elems = elems;
+  req.buffers = pointers(borrowed);
+  AsyncCollective(sched, fast, req).wait();
+
+  auto copied = inputs;
+  InProcTransport slow(LinkGrid::uniform(k, 100.0));
+  run_copying(sched, slow, copied);
+
+  expect_bits_equal(borrowed, copied);
+  expect_stats_identical(fast.stats(), slow.stats());
+  EXPECT_EQ(borrowed[1], inputs[1]) << "a non-participant's buffer moved";
+}
+
+TEST(BorrowedSends, OnlyLosslessFaultFreeLocalSendsKeepAView) {
+  const std::vector<double> data{1.5, -2.25, 3.0, 0.5, 8.0};
+  const auto n = static_cast<int64_t>(data.size());
+  Transport::SendOptions borrow;
+  borrow.borrow = true;
+
+  // Borrowed, fp32, fault-free, local: a view of the sender's buffer, with
+  // the accounting of a copying send.
+  InProcTransport viewing(LinkGrid::uniform(2, 100.0));
+  EXPECT_EQ(viewing.send(0, 1, n, data.data(), borrow), 0);
+  viewing.end_step();
+  const Message view = viewing.recv(1, 0);
+  EXPECT_TRUE(view.payload.empty());
+  EXPECT_EQ(view.data(), data.data());
+  EXPECT_TRUE(view.has_payload());
+  EXPECT_FALSE(view.checksummed);
+  EXPECT_TRUE(view.intact());
+
+  // Without the flag the same send copies.
+  InProcTransport copying(LinkGrid::uniform(2, 100.0));
+  EXPECT_EQ(copying.send(0, 1, n, data.data()), 0);
+  copying.end_step();
+  const Message copy = copying.recv(1, 0);
+  EXPECT_EQ(copy.borrowed, nullptr);
+  EXPECT_EQ(copy.payload, data);
+  EXPECT_EQ(copy.data(), copy.payload.data());
+  expect_stats_identical(viewing.stats(), copying.stats());
+
+  // The int8 codec rewrites the values, so it needs its own copy.
+  InProcTransport quantized(LinkGrid::uniform(2, 100.0), &quantized_codec());
+  quantized.send(0, 1, n, data.data(), borrow);
+  quantized.end_step();
+  const Message q = quantized.recv(1, 0);
+  EXPECT_EQ(q.borrowed, nullptr);
+  ASSERT_EQ(q.payload.size(), data.size());
+  EXPECT_EQ(q.data(), q.payload.data());
+  EXPECT_EQ(q.wire_bytes, QuantizingCodec::quantized_wire_bytes(n));
+
+  // A lossy fault plan checksums and may retransmit: copies, verifiable.
+  FaultPlan lossy;
+  lossy.seed = 21;
+  lossy.drop_prob = 0.5;
+  InProcTransport dropping(LinkGrid::uniform(2, 100.0), nullptr, lossy);
+  for (int i = 0; i < 16; ++i) dropping.send(0, 1, n, data.data(), borrow);
+  dropping.end_step();
+  int64_t delivered = 0;
+  while (auto m = dropping.try_recv_from(1, 0)) {
+    ++delivered;
+    EXPECT_EQ(m->borrowed, nullptr);
+    EXPECT_EQ(m->payload, data);
+    EXPECT_TRUE(m->checksummed);
+    EXPECT_TRUE(m->intact());
+    Message tampered = *m;
+    tampered.payload[4] += 1.0;
+    EXPECT_FALSE(tampered.intact());
+  }
+  EXPECT_GT(delivered, 0);
+  EXPECT_EQ(delivered + dropping.stats().dropped_messages, 16);
+
+  // Corruption flips a bit in the message's own copy, never in the
+  // sender's buffer.
+  FaultPlan corrupting;
+  FaultPlan::MessageFault mf;
+  mf.corrupt_prob = 1.0;
+  corrupting.message_faults.push_back(mf);
+  const std::vector<double> pristine = data;
+  InProcTransport flipping(LinkGrid::uniform(2, 100.0), nullptr, corrupting);
+  flipping.send(0, 1, n, data.data(), borrow);
+  flipping.end_step();
+  const Message bad = flipping.recv(1, 0);
+  EXPECT_EQ(bad.borrowed, nullptr);
+  EXPECT_TRUE(bad.corrupted);
+  EXPECT_FALSE(bad.intact());
+  EXPECT_NE(bad.payload, data);
+  EXPECT_EQ(data, pristine);
+
+  // Timing-only transports carry no payload either way.
+  SimTransport sim(LinkGrid::uniform(2, 100.0));
+  sim.send(0, 1, n, data.data(), borrow);
+  sim.end_step();
+  EXPECT_FALSE(sim.recv(1, 0).has_payload());
+}
+
+TEST(BorrowedSends, ScheduleReceivingIntoItsOwnSentSpanIsRejected) {
+  // Endpoint 0 sends [0, 4) and receives into [2, 6) in the same step: a
+  // borrowed message would read values the merge already overwrote.
+  SteppedSchedule bad;
+  ScheduleStep step;
+  step.sends = {{0, 1, Span{0, 4}}, {1, 0, Span{2, 6}}};
+  step.recvs = {{1, 0, Span{0, 4}, true}, {0, 1, Span{2, 6}, true}};
+  bad.steps.push_back(step);
+
+  auto bufs = random_buffers(2, 8, 7200);
+  const auto inputs = bufs;
+  InProcTransport t(LinkGrid::uniform(2, 100.0));
+  CollectiveRequest req;
+  req.elems = 8;
+  req.buffers = pointers(bufs);
+  EXPECT_THROW(AsyncCollective(bad, t, req), std::invalid_argument);
+  EXPECT_THROW(execute_schedule_owned(bad, t, req, {1, 1}),
+               std::invalid_argument);
+  EXPECT_EQ(t.stats().messages, 0);
+  EXPECT_EQ(bufs, inputs);
+
+  // Adjacent spans do not overlap: [0, 4) out, [4, 8) in is fine.
+  SteppedSchedule good;
+  step.sends = {{0, 1, Span{0, 4}}, {1, 0, Span{4, 8}}};
+  step.recvs = {{1, 0, Span{0, 4}, true}, {0, 1, Span{4, 8}, true}};
+  good.steps.push_back(step);
+  AsyncCollective(good, t, req).wait();
+  EXPECT_EQ(bufs[0][4], inputs[0][4] + inputs[1][4]);
+  EXPECT_EQ(bufs[1][0], inputs[1][0] + inputs[0][0]);
 }
 
 // ---- shim equivalence ------------------------------------------------------
