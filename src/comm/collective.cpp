@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "comm/reliable.hpp"
 #include "core/workspace.hpp"
@@ -65,19 +66,35 @@ void merge_segment(const Message& msg, double* dst, const Segment& seg,
 }
 
 /// Stepped executors borrow every send (Transport::SendOptions::borrow):
-/// a message may point into its sender's buffer until the step's receives
-/// are merged. That is only sound when no endpoint receives into a span it
-/// sends from in the same step, so every schedule is checked before it
-/// runs. Ring and halving/doubling (pre/post phases and survivor remaps
-/// included) satisfy it by construction.
+/// a message, or a ReliableChannel's retransmit park, may point into its
+/// sender's buffer until the step's receives are merged. That is only
+/// sound when no endpoint receives into a span it sends from in the same
+/// step, and when every send is received (acked) within its own step, so
+/// every schedule is checked before it runs. Ring and halving/doubling
+/// (pre/post phases and survivor remaps included) satisfy both by
+/// construction.
 void check_borrow_safe(const SteppedSchedule& sched) {
   std::vector<ScheduleStep::Send> by_src;
   const auto src_less = [](const ScheduleStep::Send& a,
                            const ScheduleStep::Send& b) {
     return a.src < b.src;
   };
+  std::vector<std::pair<int64_t, int64_t>> sent_edges;
+  std::vector<std::pair<int64_t, int64_t>> recv_edges;
   for (size_t i = 0; i < sched.steps.size(); ++i) {
     const ScheduleStep& step = sched.steps[i];
+    sent_edges.clear();
+    recv_edges.clear();
+    for (const ScheduleStep::Send& s : step.sends)
+      sent_edges.emplace_back(s.src, s.dst);
+    for (const ScheduleStep::Recv& r : step.recvs)
+      recv_edges.emplace_back(r.src, r.dst);
+    std::sort(sent_edges.begin(), sent_edges.end());
+    std::sort(recv_edges.begin(), recv_edges.end());
+    COMDML_REQUIRE(sent_edges == recv_edges,
+                   "schedule step " << i
+                                    << ": sends and receives do not pair up "
+                                       "edge for edge");
     by_src.assign(step.sends.begin(), step.sends.end());
     std::sort(by_src.begin(), by_src.end(), src_less);
     for (const ScheduleStep::Recv& r : step.recvs) {
@@ -233,9 +250,11 @@ SteppedSchedule halving_doubling_schedule(int64_t k, int64_t elems) {
 constexpr Transport::SendOptions kBorrow{.borrow = true};
 
 /// Execute one schedule step: post every send, close the transport step,
-/// fold every delivered payload. Sends borrow the sender's buffer (see
-/// check_borrow_safe). With a channel, sends park retransmit copies and
-/// receives retry through backoff — the schedule completes over
+/// fold every delivered payload, then hand its buffer back to the
+/// transport. Sends borrow the sender's buffer (see check_borrow_safe).
+/// With a channel, sends park a view of the sender's span for retransmits
+/// (sound for the same reason, and every send is acked within its step)
+/// and receives retry through backoff — the schedule completes over
 /// lossy/corrupting links exactly as it would over clean ones.
 void execute_schedule_step(Transport& t, const CollectiveRequest& req,
                            const ScheduleStep& step, ReliableChannel* ch) {
@@ -243,15 +262,16 @@ void execute_schedule_step(Transport& t, const CollectiveRequest& req,
     const double* data = buffer_of(req, s.src);
     const double* payload = data != nullptr ? data + s.span.begin : nullptr;
     if (ch != nullptr)
-      ch->send(s.src, s.dst, s.span.size(), payload);
+      ch->send(s.src, s.dst, s.span.size(), payload, kBorrow);
     else
       t.send(s.src, s.dst, s.span.size(), payload, kBorrow);
   }
   t.end_step();
   for (const ScheduleStep::Recv& r : step.recvs) {
-    const Message msg =
+    Message msg =
         ch != nullptr ? ch->recv(r.dst, r.src) : t.recv(r.dst, r.src);
     merge_segment(msg, buffer_of(req, r.dst), r.span, r.accumulate);
+    t.recycle(std::move(msg));
   }
 }
 
@@ -682,8 +702,9 @@ void execute_schedule_owned(const SteppedSchedule& sched, Transport& t,
     t.end_step();
     for (const ScheduleStep::Recv& r : step.recvs) {
       if (!is_owned(r.dst)) continue;
-      const Message msg = t.recv(r.dst, r.src);
+      Message msg = t.recv(r.dst, r.src);
       merge_segment(msg, buffer_of(req, r.dst), r.span, r.accumulate);
+      t.recycle(std::move(msg));
     }
   }
   if (!sched.scale_to_mean || req.buffers.empty()) return;

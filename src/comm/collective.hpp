@@ -102,8 +102,9 @@ struct ScheduleStep {
 /// this same object, so predicted and executed traffic cannot drift no
 /// matter which driver runs it. The executors borrow every send
 /// (Transport::SendOptions::borrow), so a schedule in which an endpoint
-/// receives into a span it also sends from in the same step is rejected
-/// (std::invalid_argument) before any traffic moves.
+/// receives into a span it also sends from in the same step, or whose
+/// sends and receives do not pair up edge for edge within each step, is
+/// rejected (std::invalid_argument) before any traffic moves.
 struct SteppedSchedule {
   std::vector<ScheduleStep> steps;
   /// Scale every buffer by 1/|participants| after the last step

@@ -51,14 +51,22 @@ ReliableChannel::ReliableChannel(Transport& transport,
 }
 
 void ReliableChannel::send(int64_t src, int64_t dst, int64_t elems,
-                           const double* data) {
-  const int64_t seq = transport_->send(src, dst, elems, data);
+                           const double* data,
+                           const Transport::SendOptions& opts) {
+  COMDML_CHECK(opts.seq < 0 && !opts.retransmit);
+  const int64_t seq = transport_->send(src, dst, elems, data, opts);
   Unacked u;
   u.seq = seq;
   u.elems = elems;
-  // Park the pre-codec copy: the schedule's recv phase folds into the very
-  // buffers that were sent, so a later retransmit cannot reread them.
-  if (data != nullptr && elems > 0) u.data.assign(data, data + elems);
+  if (data != nullptr && elems > 0) {
+    // A borrowing sender keeps its span intact until the ack; any other
+    // sender may fold received values into the very buffer it sent, so a
+    // later retransmit needs the pre-codec copy.
+    if (opts.borrow)
+      u.borrowed = data;
+    else
+      u.copy.assign(data, data + elems);
+  }
   sent_[edge(src, dst)].push_back(std::move(u));
 }
 
@@ -69,13 +77,15 @@ Message ReliableChannel::recv(int64_t dst, int64_t src) {
     // (seq already delivered) and corrupted copies are discarded — the
     // latter get re-requested below.
     while (auto m = transport_->try_recv_from(dst, src)) {
-      if (m->seq <= last_delivered_[e]) continue;
-      if (!m->intact()) continue;
+      if (m->seq <= last_delivered_[e] || !m->intact()) {
+        transport_->recycle(std::move(*m));
+        continue;
+      }
       last_delivered_[e] = m->seq;
       auto& window = sent_[e];
       while (!window.empty() && window.front().seq <= m->seq)
         window.pop_front();  // cumulative ack
-      return *m;
+      return std::move(*m);
     }
     // Recomputed per attempt: drops charged by this very receive's
     // retransmits keep counting, so a lossy edge earns patience even
@@ -115,8 +125,7 @@ Message ReliableChannel::recv(int64_t dst, int64_t src) {
     Transport::SendOptions opts;
     opts.retransmit = true;
     opts.seq = u.seq;
-    transport_->send(src, dst, u.elems,
-                     u.data.empty() ? nullptr : u.data.data(), opts);
+    transport_->send(src, dst, u.elems, u.data(), opts);
     ++retransmits_;
     transport_->end_step();
   }

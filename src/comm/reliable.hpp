@@ -5,8 +5,10 @@
 // failure. ReliableChannel restores that contract on top of a Transport
 // whose FaultPlan drops, delays, duplicates, or corrupts messages:
 //
-//   - every send is copied into a per-edge unacked window under its
-//     transport-assigned sequence number;
+//   - every send is parked in a per-edge unacked window under its
+//     transport-assigned sequence number: a copy, or, for senders that
+//     make the borrow promise (the stepped collectives), a view of the
+//     sender's span;
 //   - recv() polls the mailbox, discards duplicates (seq already
 //     delivered) and corrupted copies (checksum / corruption flag), and
 //     when nothing usable is pending it charges an exponential-backoff
@@ -101,14 +103,32 @@ class ReliableChannel {
   ReliableChannel(Transport& transport, const RetryPolicy& policy);
 
   /// Send with a retransmittable copy parked until the receiver acks it.
+  ///
+  /// With `opts.borrow` (Transport::SendOptions::borrow) the channel parks
+  /// a view of `data` instead of a copy, and retransmits re-read the
+  /// sender's span. The caller then promises more than the transport's
+  /// borrow contract: `data[0, elems)` stays unchanged until this send is
+  /// acked, i.e. until the matched recv() returns, or until
+  /// clear_unacked() (or the channel's destruction) drops the view after
+  /// an aborted schedule. The stepped collectives keep it: no endpoint
+  /// receives into a span it sends from within a step (check_borrow_safe),
+  /// and every send of a step is received, or the step throws, before the
+  /// next step starts. Gossip and param-server overwrite their send
+  /// buffers while sends are in flight, so they send without the flag and
+  /// keep the copy. `opts.seq` and `opts.retransmit` must be unset: the
+  /// channel numbers and retransmits on its own.
   void send(int64_t src, int64_t dst, int64_t elems,
-            const double* data = nullptr);
+            const double* data = nullptr,
+            const Transport::SendOptions& opts = {});
 
   /// Reliable matched receive: delivers the next in-sequence intact
-  /// message src -> dst, retransmitting with exponential backoff when the
-  /// wire loses, delays, or corrupts it. Throws DeliveryTimeoutError once
-  /// the retry budget is exhausted, and propagates EndpointDownError for
-  /// provably dead peers (recovery, not retry, handles those).
+  /// message src -> dst (moved out of the mailbox, not copied; hand it to
+  /// Transport::recycle() once merged), retransmitting with exponential
+  /// backoff when the wire loses, delays, or corrupts it. Discarded
+  /// duplicates and corrupted copies go back to the transport's buffer
+  /// pool. Throws DeliveryTimeoutError once the retry budget is exhausted,
+  /// and propagates EndpointDownError for provably dead peers (recovery,
+  /// not retry, handles those).
   [[nodiscard]] Message recv(int64_t dst, int64_t src);
 
   /// Drop every unacked copy (mid-collective recovery restarts the
@@ -125,7 +145,14 @@ class ReliableChannel {
   struct Unacked {
     int64_t seq = 0;
     int64_t elems = 0;
-    std::vector<double> data;  // pre-codec copy; empty for timing-only
+    std::vector<double> copy;  // pre-codec copy of a non-borrowing send
+    const double* borrowed = nullptr;  // sender's span of a borrowing send
+
+    /// The values to retransmit; null for timing-only sends.
+    [[nodiscard]] const double* data() const noexcept {
+      if (borrowed != nullptr) return borrowed;
+      return copy.empty() ? nullptr : copy.data();
+    }
   };
 
   [[nodiscard]] size_t edge(int64_t src, int64_t dst) const {

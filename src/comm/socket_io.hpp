@@ -72,10 +72,12 @@ void close_fd(int fd) noexcept;
 // ---- frames -----------------------------------------------------------------
 
 inline constexpr uint32_t kFrameMagic = 0x434D4446;  // "CMDF"
-/// Version 3: the data frame's checksum field holds the word-at-a-time
-/// message hash (version 2 carried FNV-1a), so mixed binaries are refused
-/// at the first frame instead of discarding every payload as corrupt.
-inline constexpr uint16_t kWireVersion = 3;
+/// Version 4: the data frame's checksum field holds tensor::checksum of
+/// the payload bytes, which folds the byte length (version 3 folded the
+/// element count; version 2 carried FNV-1a), so mixed binaries are
+/// refused at the first frame instead of discarding every payload as
+/// corrupt.
+inline constexpr uint16_t kWireVersion = 4;
 /// Upper bound on a frame body — rejects desynchronized/garbage peers
 /// before a bad length turns into a huge allocation.
 inline constexpr uint32_t kMaxFrameBody = 1u << 30;

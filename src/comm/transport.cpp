@@ -1,16 +1,18 @@
 #include "comm/transport.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
 
+#include "tensor/hash.hpp"
 #include "tensor/tensor.hpp"
 
 namespace comdml::comm {
 
 namespace {
+
+using tensor::mix64;
 
 // Distinct streams per fault kind, mixed into the decision hash.
 constexpr uint64_t kSaltDrop = 0xd6e8feb86659fd93ull;
@@ -19,15 +21,6 @@ constexpr uint64_t kSaltDelayDraw = 0xe7037ed1a0b428dbull;
 constexpr uint64_t kSaltDuplicate = 0x8ebc6af09c88c6e3ull;
 constexpr uint64_t kSaltCorrupt = 0x589965cc75374cc3ull;
 constexpr uint64_t kSaltReorder = 0x1d8e4e27c47d124full;
-
-/// splitmix64 finalizer: the avalanche stage that turns structured
-/// (seed, step, edge, seq) tuples into uniform bits.
-uint64_t mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 uint64_t message_hash(uint64_t seed, int64_t step, int64_t src, int64_t dst,
                       int64_t seq, uint64_t salt) {
@@ -43,36 +36,9 @@ double hash_uniform(uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-/// Message checksum over the fp64 payload bits, one 64-bit word per
-/// element. Words stream round-robin through four independent
-/// multiply-rotate lanes (the tail feeds the first lanes), then mix64
-/// folds the length and the lanes. A lane step is a bijection of its word
-/// for a fixed lane state and of the lane state for a fixed word, and the
-/// fold is a bijection of each lane in turn, so changing any one element
-/// (any single bit flip included) always changes the result. Checkpoint
-/// framing keeps tensor::fnv1a: its files must stay readable.
+/// Message checksum over the delivered fp64 payload bits.
 uint64_t payload_checksum(const std::vector<double>& payload) {
-  constexpr uint64_t kMul = 0x9e3779b185ebca87ull;
-  constexpr uint64_t kWordMul = 0xc2b2ae3d27d4eb4full;
-  const auto lane_step = [](uint64_t lane, double v) {
-    uint64_t word;
-    std::memcpy(&word, &v, sizeof(word));
-    return std::rotl(lane + word * kWordMul, 31) * kMul;
-  };
-  uint64_t lanes[4] = {kMul, kWordMul, ~kMul, ~kWordMul};
-  const size_t n = payload.size();
-  const double* p = payload.data();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    lanes[0] = lane_step(lanes[0], p[i]);
-    lanes[1] = lane_step(lanes[1], p[i + 1]);
-    lanes[2] = lane_step(lanes[2], p[i + 2]);
-    lanes[3] = lane_step(lanes[3], p[i + 3]);
-  }
-  for (size_t l = 0; i < n; ++i, ++l) lanes[l] = lane_step(lanes[l], p[i]);
-  uint64_t h = mix64(static_cast<uint64_t>(n));
-  for (const uint64_t lane : lanes) h = mix64(h ^ lane);
-  return h;
+  return tensor::checksum(payload.data(), payload.size() * sizeof(double));
 }
 
 }  // namespace
@@ -407,7 +373,14 @@ bool Transport::has_message_faults() const {
 
 void Transport::clear_pending() {
   std::lock_guard<std::mutex> guard(mutex_);
-  for (auto& box : mailboxes_) box.clear();
+  drain_mailboxes_locked();
+}
+
+void Transport::drain_mailboxes_locked() {
+  for (auto& box : mailboxes_) {
+    for (Message& m : box) recycle(std::move(m));
+    box.clear();
+  }
 }
 
 std::vector<int64_t> Transport::neighbors(int64_t i) const {
@@ -443,6 +416,9 @@ int64_t Transport::send(int64_t src, int64_t dst, int64_t elems,
   std::vector<double> payload;
   int64_t wire = 0;
   if (moves_payload && !borrowed) {
+    // Remote frames leave with their payload, so only local copies take a
+    // recycled buffer.
+    if (local) payload = take_payload(elems);
     payload.assign(data, data + elems);
     wire = codec_->encode(payload.data(), elems);
   } else {
@@ -500,8 +476,9 @@ int64_t Transport::send(int64_t src, int64_t dst, int64_t elems,
     if (dropped) {
       ++stats_.dropped_messages;
       ++stats_.dropped_per_edge[edge];
-      if (local || !parkable)
-        return seq;  // the sender's link was busy, but nothing arrives
+      // The sender's link was busy, but nothing arrives.
+      if (local) park_payload(std::move(payload));
+      if (local || !parkable) return seq;
       // Remote drop: forward a parked-only frame so the backend can serve
       // a retransmission NACK from the original payload.
     } else if (local) {
@@ -567,7 +544,16 @@ int64_t Transport::send(int64_t src, int64_t dst, int64_t elems,
     if (local) {
       auto& box = mailboxes_[static_cast<size_t>(dst)];
       Message copy;
-      if (duplicate) copy = msg;
+      if (duplicate) {
+        // Every field but the payload, which fills a recycled buffer too.
+        std::vector<double> original = std::move(msg.payload);
+        copy = msg;
+        if (!original.empty()) {
+          copy.payload = take_payload(elems);
+          copy.payload.assign(original.begin(), original.end());
+        }
+        msg.payload = std::move(original);
+      }
       if (reorder) {
         ++stats_.reordered_messages;
         box.push_front(std::move(msg));
@@ -715,6 +701,39 @@ void Transport::end_step() {
   step_messages_ = 0;
 }
 
+std::vector<double> Transport::take_payload(int64_t elems) {
+  std::vector<double> out;
+  size_t capacity = 0;
+  {
+    std::lock_guard<std::mutex> guard(pool_mutex_);
+    pool_capacity_ = std::max(pool_capacity_, static_cast<size_t>(elems));
+    capacity = pool_capacity_;
+    if (!payload_pool_.empty()) {
+      out = std::move(payload_pool_.back());
+      payload_pool_.pop_back();
+    }
+  }
+  out.reserve(capacity);
+  return out;
+}
+
+void Transport::recycle(Message&& msg) {
+  if (local_endpoint(msg.src)) park_payload(std::move(msg.payload));
+}
+
+void Transport::park_payload(std::vector<double>&& payload) {
+  if (payload.capacity() == 0) return;
+  std::vector<double> buffer = std::move(payload);
+  std::lock_guard<std::mutex> guard(pool_mutex_);
+  if (payload_pool_.size() < 4 * static_cast<size_t>(endpoints()))
+    payload_pool_.push_back(std::move(buffer));
+}
+
+size_t Transport::pooled_payloads() const {
+  std::lock_guard<std::mutex> guard(pool_mutex_);
+  return payload_pool_.size();
+}
+
 void Transport::reset() {
   std::lock_guard<std::mutex> guard(mutex_);
   const auto n = static_cast<size_t>(grid_.endpoints());
@@ -727,7 +746,7 @@ void Transport::reset() {
   step_span_ = 0.0;
   step_messages_ = 0;
   std::fill(next_seq_.begin(), next_seq_.end(), 0);
-  for (auto& box : mailboxes_) box.clear();
+  drain_mailboxes_locked();
 }
 
 }  // namespace comdml::comm

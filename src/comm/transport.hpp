@@ -34,6 +34,9 @@
 // traffic moves no copy at all. Everything else still copies: quantized
 // payloads, fault plans (checksums, corruption flips, retransmit windows),
 // frames to other processes, and every send without the borrow flag.
+// A copy bound for this process fills a buffer from the transport's free
+// list; receivers hand it back with recycle() once merged, so a lossy or
+// quantized collective stops allocating payloads after its first run.
 #pragma once
 
 #include <cstdint>
@@ -312,6 +315,10 @@ struct TransportStats {
   [[nodiscard]] int64_t goodput_bytes() const {
     return total_wire_bytes - retransmit_wire_bytes - duplicated_wire_bytes;
   }
+
+  /// Every field equal, doubles compared exactly.
+  friend bool operator==(const TransportStats&,
+                         const TransportStats&) = default;
 };
 
 /// Fold the per-process stats of one multi-process run into the stats the
@@ -473,9 +480,23 @@ class Transport {
   /// ReliableChannel, and send() whether to checksum local traffic.
   [[nodiscard]] bool has_message_faults() const;
   /// Drop every undelivered message (mid-collective recovery restarts the
-  /// survivor schedule from clean mailboxes). Stats are untouched: the
-  /// wasted traffic really crossed the wire.
+  /// survivor schedule from clean mailboxes); their payload buffers are
+  /// recycled. Stats are untouched: the wasted traffic really crossed the
+  /// wire.
   void clear_pending();
+
+  // ---- payload buffer reuse -------------------------------------------------
+
+  /// Hand a consumed message's payload buffer back to this transport, so a
+  /// later copying send fills it instead of allocating. Receivers call it
+  /// once they have merged (or discarded) a message they received from
+  /// this transport. Messages without an owned payload (borrowed,
+  /// timing-only) and messages from endpoints of another process (their
+  /// payload was decoded off the wire) are simply released. Thread-safe.
+  void recycle(Message&& msg);
+  /// Payload buffers parked for reuse right now (at most
+  /// 4 * endpoints()).
+  [[nodiscard]] size_t pooled_payloads() const;
 
  protected:
   /// Payload-moving transports return true; timing-only ones false.
@@ -539,6 +560,18 @@ class Transport {
   [[nodiscard]] bool mature_locked(const Message& m) const {
     return m.deliver_after_step < 0 || stats_.steps >= m.deliver_after_step;
   }
+  /// Park a consumed local payload buffer on the free list (released
+  /// instead when the list is full). Takes pool_mutex_ only.
+  void park_payload(std::vector<double>&& payload);
+  /// Empty every mailbox, recycling the undelivered payloads. Caller
+  /// holds mutex_.
+  void drain_mailboxes_locked();
+  /// An empty buffer to copy `elems` payload values into: a parked one if
+  /// any, else a new one. Either way its capacity covers the largest
+  /// payload this transport has copied, so every parked buffer serves
+  /// every send, and a schedule run a second time allocates none (while
+  /// the free list's bound holds its buffers).
+  [[nodiscard]] std::vector<double> take_payload(int64_t elems);
 
   LinkGrid grid_;
   const Codec* codec_;  // never null after construction
@@ -551,6 +584,14 @@ class Transport {
   std::vector<int64_t> next_seq_;  // per directed edge [src][dst]
   std::vector<std::deque<Message>> mailboxes_;  // per dst, arrival order
   mutable std::mutex mutex_;
+  /// Free list of payload buffers for copying local sends, bounded at
+  /// 4 * endpoints(): room for a stepped schedule's sends (about one per
+  /// endpoint and step) plus their duplicate, retransmitted and delayed
+  /// copies under a fault plan. Own lock: sends fill buffers outside
+  /// mutex_.
+  std::vector<std::vector<double>> payload_pool_;
+  size_t pool_capacity_ = 0;  ///< largest payload copied so far, in values
+  mutable std::mutex pool_mutex_;
 };
 
 /// Analytic clock only: accounts every byte/step/second of the schedule,

@@ -13,6 +13,7 @@
 #include "privacy/dp.hpp"
 #include "privacy/patch_shuffle.hpp"
 #include "sim/resources.hpp"
+#include "tensor/hash.hpp"
 #include "tensor/serialize.hpp"
 
 namespace comdml::core {
@@ -256,10 +257,9 @@ RealFleet::RoundStats RealFleet::step() {
   const auto train_full = [&](int64_t agent, tensor::Rng& rng,
                               TaskResult& out) {
     auto& st = agents_[static_cast<size_t>(agent)];
-    nn::SGD opt(st.model->parameters(), sgd);
-    // Momentum is fleet state, not round state: carry the velocity across
-    // the per-round optimizer rebuilds (and through checkpoint/restore).
-    if (!st.velocity.empty()) opt.load_velocity(st.velocity);
+    // Momentum is fleet state, not round state: the velocity moves into
+    // each round's optimizer and back out (and through checkpoint/restore).
+    nn::SGD opt(st.model->parameters(), sgd, std::move(st.velocity));
     const int64_t die_at = die_after_batches[static_cast<size_t>(agent)];
     const int64_t batches =
         die_at >= 0 ? std::min(options_.train.batches_per_round, die_at)
@@ -286,7 +286,7 @@ RealFleet::RoundStats RealFleet::step() {
         ++out.loss_count;
       }
     }
-    st.velocity = opt.velocity();
+    st.velocity = opt.take_velocity();
     // Died after its batch quota: nothing published this round.
     if (die_at >= 0) kill_agent(agent);
   };
@@ -815,69 +815,140 @@ void RealFleet::rejoin(int64_t agent) {
 }
 
 namespace {
+
 constexpr uint32_t kCheckpointMagic = 0x434D444C;  // "CMDL"
-constexpr uint32_t kCheckpointVersion = 2;
-}  // namespace
+constexpr uint32_t kCheckpointVersion = 3;
+constexpr uint32_t kShardMagic = 0x434D4453;  // "CMDS"
+constexpr uint32_t kShardVersion = 2;
+/// Every checkpoint blob is framed [magic u32 | version u32 | checksum u64
+/// | body]; the checksum (tensor::checksum) covers the body.
+constexpr size_t kFrameHeader = 2 * sizeof(uint32_t) + sizeof(uint64_t);
+constexpr size_t kChecksumOffset = 2 * sizeof(uint32_t);
 
-std::vector<uint8_t> RealFleet::checkpoint() {
-  // Body first, then the [magic | version | checksum] frame around it —
-  // restore() verifies the fnv1a before parsing a single body field, so
-  // truncation and bit rot surface as CheckpointError up front.
-  tensor::ByteWriter body;
-  body.u32(static_cast<uint32_t>(agents()));
-  body.i64(round_);
-  body.f32(current_lr_);
-  body.str(rng_.state());
-  body.u8(plateau_.has_value() ? 1 : 0);
-  if (plateau_) {
-    const nn::PlateauScheduler::State s = plateau_->save();
-    body.f32(s.best);
-    body.i64(s.stale);
-  }
-  for (AgentState& st : agents_) {
-    body.u8(st.alive ? 1 : 0);
-    body.tensors(nn::state_of(*st.model));
-    body.tensors(st.velocity);
-    const data::Batcher::State bs = st.batcher->save();
-    body.i64s(bs.order);
-    body.i64(bs.cursor);
-    body.i64(bs.epoch);
-    body.str(bs.rng);
-  }
-  body.u8(pipeline_ != nullptr ? 1 : 0);
-  if (pipeline_) body.f64s(pipeline_->residuals());
-
-  const std::vector<uint8_t> payload = body.bytes();
+/// A writer holding a frame header with a placeholder checksum, presized
+/// for `body_bytes` more; the caller appends the body, then seal_frame().
+tensor::ByteWriter open_frame(uint32_t magic, uint32_t version,
+                              size_t body_bytes) {
   tensor::ByteWriter w;
-  w.u32(kCheckpointMagic);
-  w.u32(kCheckpointVersion);
-  w.u64(tensor::fnv1a(payload.data(), payload.size()));
-  w.raw(payload);
-  return w.bytes();
+  w.reserve(kFrameHeader + body_bytes);
+  w.u32(magic);
+  w.u32(version);
+  w.u64(0);
+  return w;
 }
 
-void RealFleet::restore(const std::vector<uint8_t>& bytes) {
-  // Frame validation. Every defect below is a CheckpointError: the caller
-  // handed us an unusable blob, not a programming error.
-  constexpr size_t kHeader = 2 * sizeof(uint32_t) + sizeof(uint64_t);
-  if (bytes.size() < kHeader)
-    throw CheckpointError("checkpoint truncated: " +
+/// Patch the body checksum into the header and hand the blob out.
+std::vector<uint8_t> seal_frame(tensor::ByteWriter& w) {
+  const std::vector<uint8_t>& b = w.bytes();
+  w.patch_u64(kChecksumOffset, tensor::checksum(b.data() + kFrameHeader,
+                                                b.size() - kFrameHeader));
+  return w.take();
+}
+
+/// Validate a frame (size, magic, version, checksum) and return a reader
+/// positioned at its body. Every defect is a CheckpointError naming
+/// `what` ("checkpoint", "checkpoint shard"): the caller handed over an
+/// unusable blob, not a programming error. The body is checksummed before
+/// a single body field is parsed, so truncation and bit rot surface here.
+tensor::ByteReader open_sealed(const std::vector<uint8_t>& bytes,
+                               uint32_t magic, uint32_t version,
+                               const std::string& what) {
+  if (bytes.size() < kFrameHeader)
+    throw CheckpointError(what + " truncated: " +
                           std::to_string(bytes.size()) +
                           " bytes is smaller than the header");
   tensor::ByteReader r(bytes);
-  if (r.u32() != kCheckpointMagic)
-    throw CheckpointError("not a fleet checkpoint (bad magic)");
-  const uint32_t version = r.u32();
-  if (version != kCheckpointVersion)
-    throw CheckpointError("unsupported checkpoint version " +
-                          std::to_string(version) + " (expected " +
-                          std::to_string(kCheckpointVersion) + ")");
+  if (r.u32() != magic)
+    throw CheckpointError("not a fleet " + what + " (bad magic)");
+  const uint32_t got_version = r.u32();
+  if (got_version != version)
+    throw CheckpointError("unsupported " + what + " version " +
+                          std::to_string(got_version) + " (expected " +
+                          std::to_string(version) + ")");
   const uint64_t want_sum = r.u64();
-  const uint64_t got_sum =
-      tensor::fnv1a(bytes.data() + kHeader, bytes.size() - kHeader);
-  if (got_sum != want_sum)
-    throw CheckpointError(
-        "checkpoint checksum mismatch (truncated or corrupted blob)");
+  if (tensor::checksum(bytes.data() + kFrameHeader,
+                       bytes.size() - kFrameHeader) != want_sum)
+    throw CheckpointError(what +
+                          " checksum mismatch (truncated or corrupted)");
+  return r;
+}
+
+/// Upper bound on the bytes write_agent() appends beyond the two tensor
+/// lists: the fixed-width fields and length prefixes fit in 64.
+size_t agent_record_extra(const data::Batcher::State& bs) {
+  return 64 + bs.order.size() * sizeof(int64_t) + bs.rng.size();
+}
+
+}  // namespace
+
+void RealFleet::write_agent(tensor::ByteWriter& w, int64_t agent,
+                            const data::Batcher::State& bs) {
+  AgentState& st = agents_[static_cast<size_t>(agent)];
+  std::vector<tensor::Tensor*> state;
+  st.model->collect_state(state);
+  w.u8(st.alive ? 1 : 0);
+  w.tensors(state);
+  w.tensors(st.velocity);
+  w.i64s(bs.order);
+  w.i64(bs.cursor);
+  w.i64(bs.epoch);
+  w.str(bs.rng);
+}
+
+void RealFleet::read_agent(tensor::ByteReader& r, int64_t agent) {
+  AgentState& st = agents_[static_cast<size_t>(agent)];
+  st.alive = r.u8() != 0;
+  nn::load_state(*st.model, r.tensors());
+  st.velocity = r.tensors();
+  data::Batcher::State bs;
+  bs.order = r.i64s();
+  bs.cursor = r.i64();
+  bs.epoch = r.i64();
+  bs.rng = r.str();
+  st.batcher->load(bs);
+}
+
+std::vector<uint8_t> RealFleet::checkpoint() {
+  // One presized buffer: the batcher positions are saved first so the
+  // body size is known, the tensors stream straight from the live models,
+  // and the checksum is patched into the header last.
+  const std::string rng_state = rng_.state();
+  std::vector<data::Batcher::State> batchers;
+  batchers.reserve(agents_.size());
+  size_t body_bytes = 64 + rng_state.size();
+  std::vector<tensor::Tensor*> state;
+  for (AgentState& st : agents_) {
+    batchers.push_back(st.batcher->save());
+    state.clear();
+    st.model->collect_state(state);
+    body_bytes += static_cast<size_t>(tensor::wire_bytes(state) +
+                                      tensor::wire_bytes(st.velocity)) +
+                  agent_record_extra(batchers.back());
+  }
+  if (pipeline_) body_bytes += pipeline_->residuals().size() * sizeof(double);
+
+  tensor::ByteWriter w =
+      open_frame(kCheckpointMagic, kCheckpointVersion, body_bytes);
+  w.u32(static_cast<uint32_t>(agents()));
+  w.i64(round_);
+  w.f32(current_lr_);
+  w.str(rng_state);
+  w.u8(plateau_.has_value() ? 1 : 0);
+  if (plateau_) {
+    const nn::PlateauScheduler::State s = plateau_->save();
+    w.f32(s.best);
+    w.i64(s.stale);
+  }
+  for (int64_t a = 0; a < agents(); ++a)
+    write_agent(w, a, batchers[static_cast<size_t>(a)]);
+  w.u8(pipeline_ != nullptr ? 1 : 0);
+  if (pipeline_) w.f64s(pipeline_->residuals());
+  return seal_frame(w);
+}
+
+void RealFleet::restore(const std::vector<uint8_t>& bytes) {
+  tensor::ByteReader r = open_sealed(bytes, kCheckpointMagic,
+                                     kCheckpointVersion, "checkpoint");
 
   // The body parse cannot run off the end (the checksum covered every
   // byte), but a malformed length field could still ask for more than is
@@ -902,21 +973,12 @@ void RealFleet::restore(const std::vector<uint8_t>& bytes) {
       plateau_->load(s);
     }
     for (int64_t a = 0; a < k; ++a) {
-      AgentState& st = agents_[static_cast<size_t>(a)];
-      st.alive = r.u8() != 0;
-      nn::load_state(*st.model, r.tensors());
-      st.velocity = r.tensors();
-      data::Batcher::State bs;
-      bs.order = r.i64s();
-      bs.cursor = r.i64();
-      bs.epoch = r.i64();
-      bs.rng = r.str();
-      st.batcher->load(bs);
+      read_agent(r, a);
       if (pipeline_) {
         // Sync the pipeline's membership (rejoin also clears residuals and
         // endpoint faults for the agent; the checkpointed residual slab is
         // loaded right after, so the order matters).
-        if (st.alive)
+        if (agents_[static_cast<size_t>(a)].alive)
           pipeline_->rejoin(a);
         else
           pipeline_->leave(a);
@@ -1019,45 +1081,23 @@ void RealFleet::set_dist_transport(comm::Transport* transport) {
 
 std::vector<uint8_t> RealFleet::export_agent(int64_t agent) {
   COMDML_CHECK(agent >= 0 && agent < agents());
-  AgentState& st = agents_[static_cast<size_t>(agent)];
   tensor::ByteWriter w;
-  w.u8(st.alive ? 1 : 0);
-  w.tensors(nn::state_of(*st.model));
-  w.tensors(st.velocity);
-  const data::Batcher::State bs = st.batcher->save();
-  w.i64s(bs.order);
-  w.i64(bs.cursor);
-  w.i64(bs.epoch);
-  w.str(bs.rng);
-  return w.bytes();
+  write_agent(w, agent, agents_[static_cast<size_t>(agent)].batcher->save());
+  return w.take();
 }
 
 void RealFleet::import_agent(int64_t agent, const std::vector<uint8_t>& bytes) {
   COMDML_CHECK(agent >= 0 && agent < agents());
-  AgentState& st = agents_[static_cast<size_t>(agent)];
   tensor::ByteReader r(bytes);
-  st.alive = r.u8() != 0;
-  nn::load_state(*st.model, r.tensors());
-  st.velocity = r.tensors();
-  data::Batcher::State bs;
-  bs.order = r.i64s();
-  bs.cursor = r.i64();
-  bs.epoch = r.i64();
-  bs.rng = r.str();
-  st.batcher->load(bs);
+  read_agent(r, agent);
   r.expect_done();
 }
-
-namespace {
-constexpr uint32_t kShardMagic = 0x434D4453;  // "CMDS"
-constexpr uint32_t kShardVersion = 1;
-}  // namespace
 
 std::vector<uint8_t> RealFleet::checkpoint_shard(
     int64_t shard, int64_t shards, const std::vector<int64_t>& owned_agents) {
   COMDML_REQUIRE(shards >= 1 && shard >= 0 && shard < shards,
                  "bad shard index " << shard << " of " << shards);
-  tensor::ByteWriter body;
+  tensor::ByteWriter body = open_frame(kShardMagic, kShardVersion, 0);
   body.u32(static_cast<uint32_t>(agents()));
   body.i64(round_);
   body.i64(shard);
@@ -1080,14 +1120,7 @@ std::vector<uint8_t> RealFleet::checkpoint_shard(
     const std::vector<uint8_t> blob = export_agent(a);
     body.str(std::string(blob.begin(), blob.end()));
   }
-
-  const std::vector<uint8_t> payload = body.bytes();
-  tensor::ByteWriter w;
-  w.u32(kShardMagic);
-  w.u32(kShardVersion);
-  w.u64(tensor::fnv1a(payload.data(), payload.size()));
-  w.raw(payload);
-  return w.bytes();
+  return seal_frame(body);
 }
 
 void RealFleet::restore_shards(
@@ -1112,25 +1145,8 @@ void RealFleet::restore_shards(
   std::vector<ParsedShard> parsed;
   parsed.reserve(shards.size());
   for (const std::vector<uint8_t>& bytes : shards) {
-    constexpr size_t kHeader = 2 * sizeof(uint32_t) + sizeof(uint64_t);
-    if (bytes.size() < kHeader)
-      throw CheckpointError("checkpoint shard truncated: " +
-                            std::to_string(bytes.size()) +
-                            " bytes is smaller than the header");
-    tensor::ByteReader r(bytes);
-    if (r.u32() != kShardMagic)
-      throw CheckpointError("not a fleet checkpoint shard (bad magic)");
-    const uint32_t version = r.u32();
-    if (version != kShardVersion)
-      throw CheckpointError("unsupported checkpoint shard version " +
-                            std::to_string(version) + " (expected " +
-                            std::to_string(kShardVersion) + ")");
-    const uint64_t want_sum = r.u64();
-    const uint64_t got_sum =
-        tensor::fnv1a(bytes.data() + kHeader, bytes.size() - kHeader);
-    if (got_sum != want_sum)
-      throw CheckpointError(
-          "checkpoint shard checksum mismatch (truncated or corrupted)");
+    tensor::ByteReader r =
+        open_sealed(bytes, kShardMagic, kShardVersion, "checkpoint shard");
     try {
       ParsedShard p;
       p.agents_total = static_cast<int64_t>(r.u32());

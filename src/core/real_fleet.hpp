@@ -17,6 +17,11 @@
 #include "data/batcher.hpp"
 #include "nn/split.hpp"
 
+namespace comdml::tensor {
+class ByteReader;
+class ByteWriter;
+}  // namespace comdml::tensor
+
 namespace comdml::core {
 
 /// Builds one model replica; must be deterministic given the Rng.
@@ -197,10 +202,11 @@ class RealFleet {
   /// Serialize the full fleet state between rounds: every agent's model,
   /// momentum, batcher position, liveness, the fleet rng / LR / plateau
   /// controller, and the pipeline's error-feedback residuals. The blob is
-  /// framed [magic | version | fnv1a(payload) | payload], so restore()
-  /// detects truncation and bit rot before touching fleet state. Restoring
-  /// into a structurally identical fleet resumes bit-identically to never
-  /// having stopped.
+  /// framed [magic "CMDL" | version 3 | checksum(body) | body] with
+  /// tensor::checksum, so restore() detects truncation and bit rot before
+  /// touching fleet state. It is written in one pass into one presized
+  /// buffer, straight from the live models. Restoring into a structurally
+  /// identical fleet resumes bit-identically to never having stopped.
   [[nodiscard]] std::vector<uint8_t> checkpoint();
   /// Validates and loads a checkpoint. Throws CheckpointError for an
   /// unusable blob (bad magic/version, checksum mismatch, truncation) and
@@ -214,7 +220,8 @@ class RealFleet {
   /// fleet-level fields (round, rng, LR, plateau) plus only the listed
   /// agents' exported state. Every worker writes its own shard locally, so
   /// a checkpoint survives any coordinator or worker crash that leaves a
-  /// quorum of shards readable. Framed like checkpoint() (magic "CMDS").
+  /// quorum of shards readable. Framed like checkpoint() (magic "CMDS",
+  /// version 2).
   [[nodiscard]] std::vector<uint8_t> checkpoint_shard(
       int64_t shard, int64_t shards,
       const std::vector<int64_t>& owned_agents);
@@ -279,6 +286,13 @@ class RealFleet {
   /// Write `<checkpoint_dir>/fleet_r<round>.cmdl` and prune beyond the
   /// retention count.
   void auto_checkpoint();
+  /// One agent's durable record, shared by checkpoint() and export_agent():
+  /// liveness, model state (straight from the live tensors), momentum and
+  /// the batcher position `bs` (saved by the caller).
+  void write_agent(tensor::ByteWriter& w, int64_t agent,
+                   const data::Batcher::State& bs);
+  /// Inverse of write_agent(), shared by restore() and import_agent().
+  void read_agent(tensor::ByteReader& r, int64_t agent);
 };
 
 }  // namespace comdml::core

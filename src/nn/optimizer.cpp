@@ -2,16 +2,27 @@
 
 namespace comdml::nn {
 
-SGD::SGD(std::vector<Parameter*> params, Options options)
-    : params_(std::move(params)), options_(options) {
+SGD::SGD(std::vector<Parameter*> params, Options options,
+         std::vector<Tensor> velocity)
+    : params_(std::move(params)),
+      velocity_(std::move(velocity)),
+      options_(options) {
   COMDML_CHECK(options_.lr > 0.0f);
   COMDML_CHECK(options_.momentum >= 0.0f && options_.momentum < 1.0f);
   COMDML_CHECK(options_.weight_decay >= 0.0f);
-  velocity_.reserve(params_.size());
-  for (auto* p : params_) {
-    COMDML_CHECK(p != nullptr);
-    velocity_.emplace_back(p->value.shape());
+  for (auto* p : params_) COMDML_CHECK(p != nullptr);
+  if (!velocity_.empty()) {
+    COMDML_REQUIRE(velocity_.size() == params_.size(),
+                   "velocity list size mismatch: got "
+                       << velocity_.size() << ", optimizer holds "
+                       << params_.size());
+    for (size_t i = 0; i < params_.size(); ++i)
+      COMDML_REQUIRE(velocity_[i].shape() == params_[i]->value.shape(),
+                     "velocity shape mismatch at parameter " << i);
+    return;
   }
+  velocity_.reserve(params_.size());
+  for (auto* p : params_) velocity_.emplace_back(p->value.shape());
 }
 
 void SGD::step() { step_range(0, params_.size()); }
@@ -22,18 +33,6 @@ void SGD::step_range(size_t first, size_t count) {
     Parameter& p = *params_[i];
     tensor::sgd_momentum_update(p.value, velocity_[i], p.grad, options_.lr,
                                 options_.momentum, options_.weight_decay);
-  }
-}
-
-void SGD::load_velocity(const std::vector<Tensor>& velocity) {
-  COMDML_REQUIRE(velocity.size() == velocity_.size(),
-                 "velocity list size mismatch: got "
-                     << velocity.size() << ", optimizer holds "
-                     << velocity_.size());
-  for (size_t i = 0; i < velocity.size(); ++i) {
-    COMDML_REQUIRE(velocity[i].shape() == velocity_[i].shape(),
-                   "velocity shape mismatch at parameter " << i);
-    velocity_[i] = velocity[i];
   }
 }
 

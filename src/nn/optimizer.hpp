@@ -15,7 +15,11 @@ class SGD {
     float weight_decay = 0.0f;
   };
 
-  SGD(std::vector<Parameter*> params, Options options);
+  /// `velocity` carries momentum over from an earlier optimizer on the
+  /// same parameters (moved in, shapes must match; construction-list
+  /// order). Empty starts from zero momentum.
+  SGD(std::vector<Parameter*> params, Options options,
+      std::vector<Tensor> velocity = {});
 
   /// Apply one update: v <- momentum*v - lr*(g + wd*w); w <- w + v.
   void step();
@@ -34,14 +38,13 @@ class SGD {
   [[nodiscard]] float lr() const noexcept { return options_.lr; }
   void set_lr(float lr);
 
-  /// Momentum buffers, construction-list order — durable optimizer state
-  /// for checkpoint/restore and for carrying momentum across rounds when
-  /// the optimizer object itself is rebuilt.
-  [[nodiscard]] const std::vector<Tensor>& velocity() const noexcept {
-    return velocity_;
+  /// Hand the momentum buffers out by move (construction-list order) —
+  /// durable optimizer state for checkpoint/restore and for carrying
+  /// momentum across rounds when the optimizer object itself is rebuilt.
+  /// The optimizer must not step() afterwards.
+  [[nodiscard]] std::vector<Tensor> take_velocity() noexcept {
+    return std::move(velocity_);
   }
-  /// Restores velocity(); shapes must match the parameter list.
-  void load_velocity(const std::vector<Tensor>& velocity);
 
  private:
   std::vector<Parameter*> params_;

@@ -22,27 +22,56 @@ T read_raw(const std::vector<uint8_t>& bytes, size_t& offset) {
   return value;
 }
 
-}  // namespace
-
-uint64_t fnv1a(const void* data, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
+size_t tensor_wire_bytes(const Tensor& t) {
+  return sizeof(uint32_t) + t.rank() * sizeof(int64_t) +
+         static_cast<size_t>(t.nbytes());
 }
 
-std::vector<uint8_t> to_bytes(const Tensor& t) {
-  std::vector<uint8_t> out;
-  out.reserve(sizeof(uint32_t) + t.rank() * sizeof(int64_t) +
-              static_cast<size_t>(t.nbytes()));
+/// One tensor in the wire format: [rank u32][dims i64...][payload f32...].
+void append_tensor(std::vector<uint8_t>& out, const Tensor& t) {
   append_raw(out, static_cast<uint32_t>(t.rank()));
   for (size_t i = 0; i < t.rank(); ++i) append_raw(out, t.dim(i));
   const auto flat = t.flat();
   const auto* p = reinterpret_cast<const uint8_t*>(flat.data());
   out.insert(out.end(), p, p + flat.size() * sizeof(float));
+}
+
+const Tensor& deref(const Tensor& t) { return t; }
+const Tensor& deref(const Tensor* t) { return *t; }
+
+/// pack_tensors framing of `ts` (tensors or tensor pointers).
+template <typename List>
+void append_tensors(std::vector<uint8_t>& out, const List& ts) {
+  append_raw(out, static_cast<uint32_t>(ts.size()));
+  for (const auto& t : ts) append_tensor(out, deref(t));
+}
+
+template <typename List>
+int64_t list_wire_bytes(const List& ts) {
+  size_t total = sizeof(uint32_t);
+  for (const auto& t : ts) total += tensor_wire_bytes(deref(t));
+  return static_cast<int64_t>(total);
+}
+
+/// Bulk read of `n` fixed-width values after one bounds check.
+template <typename T>
+std::vector<T> read_array(const std::vector<uint8_t>& bytes, size_t& offset,
+                          uint32_t n) {
+  const size_t len = static_cast<size_t>(n) * sizeof(T);
+  COMDML_REQUIRE(len <= bytes.size() - offset,
+                 "truncated array of " << n << " values at offset " << offset);
+  std::vector<T> out(n);
+  if (len > 0) std::memcpy(out.data(), bytes.data() + offset, len);
+  offset += len;
+  return out;
+}
+
+}  // namespace
+
+std::vector<uint8_t> to_bytes(const Tensor& t) {
+  std::vector<uint8_t> out;
+  out.reserve(tensor_wire_bytes(t));
+  append_tensor(out, t);
   return out;
 }
 
@@ -64,11 +93,8 @@ Tensor from_bytes(const std::vector<uint8_t>& bytes, size_t& offset) {
 
 std::vector<uint8_t> pack_tensors(const std::vector<Tensor>& ts) {
   std::vector<uint8_t> out;
-  append_raw(out, static_cast<uint32_t>(ts.size()));
-  for (const auto& t : ts) {
-    const auto one = to_bytes(t);
-    out.insert(out.end(), one.begin(), one.end());
-  }
+  out.reserve(static_cast<size_t>(wire_bytes(ts)));
+  append_tensors(out, ts);
   return out;
 }
 
@@ -109,12 +135,16 @@ void ByteWriter::f64s(const std::vector<double>& v) {
 }
 
 void ByteWriter::tensors(const std::vector<Tensor>& ts) {
-  const auto packed = pack_tensors(ts);
-  buf_.insert(buf_.end(), packed.begin(), packed.end());
+  append_tensors(buf_, ts);
 }
 
-void ByteWriter::raw(const std::vector<uint8_t>& blob) {
-  buf_.insert(buf_.end(), blob.begin(), blob.end());
+void ByteWriter::tensors(const std::vector<Tensor*>& ts) {
+  append_tensors(buf_, ts);
+}
+
+void ByteWriter::patch_u64(size_t offset, uint64_t v) {
+  COMDML_CHECK(offset + sizeof(v) <= buf_.size());
+  std::memcpy(buf_.data() + offset, &v, sizeof(v));
 }
 
 uint8_t ByteReader::u8() { return read_raw<uint8_t>(*bytes_, offset_); }
@@ -134,16 +164,12 @@ std::string ByteReader::str() {
 
 std::vector<int64_t> ByteReader::i64s() {
   const auto n = u32();
-  std::vector<int64_t> out(n);
-  for (auto& v : out) v = i64();
-  return out;
+  return read_array<int64_t>(*bytes_, offset_, n);
 }
 
 std::vector<double> ByteReader::f64s() {
   const auto n = u32();
-  std::vector<double> out(n);
-  for (auto& v : out) v = f64();
-  return out;
+  return read_array<double>(*bytes_, offset_, n);
 }
 
 std::vector<Tensor> ByteReader::tensors() {
@@ -160,12 +186,11 @@ void ByteReader::expect_done() const {
 }
 
 int64_t wire_bytes(const std::vector<Tensor>& ts) {
-  int64_t total = static_cast<int64_t>(sizeof(uint32_t));
-  for (const auto& t : ts) {
-    total += static_cast<int64_t>(sizeof(uint32_t)) +
-             static_cast<int64_t>(t.rank() * sizeof(int64_t)) + t.nbytes();
-  }
-  return total;
+  return list_wire_bytes(ts);
+}
+
+int64_t wire_bytes(const std::vector<Tensor*>& ts) {
+  return list_wire_bytes(ts);
 }
 
 }  // namespace comdml::tensor

@@ -29,11 +29,8 @@ namespace comdml::tensor {
 
 /// Total payload bytes a tensor list occupies on the wire.
 [[nodiscard]] int64_t wire_bytes(const std::vector<Tensor>& ts);
-
-/// FNV-1a over a byte range. Shared by the transport's per-message payload
-/// checksums and the checkpoint blob integrity check — fast, seedless, and
-/// stable across platforms for same-width input.
-[[nodiscard]] uint64_t fnv1a(const void* data, size_t n);
+/// Same, for a list of tensor pointers (Module::collect_state order).
+[[nodiscard]] int64_t wire_bytes(const std::vector<Tensor*>& ts);
 
 // ---- durable-state byte streams ---------------------------------------------
 
@@ -56,12 +53,23 @@ class ByteWriter {
   void f64s(const std::vector<double>& v);
   /// pack_tensors framing (u32 count + per-tensor wire format).
   void tensors(const std::vector<Tensor>& ts);
-  /// Append a pre-serialized byte blob verbatim (no length prefix) —
-  /// checkpoint envelopes splice a checksummed payload stream this way.
-  void raw(const std::vector<uint8_t>& blob);
+  /// Same framing straight from live tensors (a model's collect_state
+  /// pointers), without a snapshot copy.
+  void tensors(const std::vector<Tensor*>& ts);
+
+  /// Presize for `bytes` more bytes, so a large stream is written without
+  /// regrowth copies.
+  void reserve(size_t bytes) { buf_.reserve(buf_.size() + bytes); }
+  /// Overwrite the u64 written at byte `offset` (a header field whose
+  /// value, such as a checksum, is known only once the body is written).
+  void patch_u64(size_t offset, uint64_t v);
 
   [[nodiscard]] const std::vector<uint8_t>& bytes() const noexcept {
     return buf_;
+  }
+  /// Hand the stream out without a copy; the writer is left empty.
+  [[nodiscard]] std::vector<uint8_t> take() noexcept {
+    return std::move(buf_);
   }
 
  private:

@@ -94,6 +94,25 @@ TEST(SGD, MomentumAccumulates) {
   EXPECT_NEAR(p.value[0], -0.29f, 1e-5);
 }
 
+TEST(SGD, VelocityMovedIntoANewOptimizerContinuesMomentum) {
+  Parameter a("w", Tensor::of({0.5f, -1.0f}));
+  Parameter b("w", Tensor::of({0.5f, -1.0f}));
+  SGD one({&a}, {0.1f, 0.9f, 0.01f});
+  SGD first({&b}, {0.1f, 0.9f, 0.01f});
+  for (int i = 0; i < 3; ++i) {
+    a.grad[0] = b.grad[0] = 0.3f * static_cast<float>(i + 1);
+    a.grad[1] = b.grad[1] = -0.7f;
+    one.step();
+    if (i < 2) first.step();
+  }
+  // The third step runs on a rebuilt optimizer that took the momentum.
+  SGD second({&b}, {0.1f, 0.9f, 0.01f}, first.take_velocity());
+  second.step();
+  EXPECT_EQ(a.value, b.value);
+  EXPECT_THROW(SGD({&b}, {0.1f, 0.9f, 0.0f}, {Tensor({3}, 0.0f)}),
+               std::invalid_argument);
+}
+
 TEST(SGD, WeightDecayShrinksWeights) {
   Parameter p("w", Tensor::of({10.0f}));
   p.grad[0] = 0.0f;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "tensor/hash.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
 #include "tensor/serialize.hpp"
@@ -338,6 +339,58 @@ TEST(Serialize, ImplausibleRankThrows) {
   std::vector<uint8_t> bytes(sizeof(uint32_t), 0xFF);
   size_t offset = 0;
   EXPECT_THROW((void)from_bytes(bytes, offset), std::invalid_argument);
+}
+
+TEST(Serialize, BulkArraysRoundTripAndRejectTruncation) {
+  ByteWriter w;
+  const std::vector<double> f{1.5, -2.25, 3e300};
+  const std::vector<int64_t> i{7, -8, int64_t{1} << 62};
+  w.f64s(f);
+  w.i64s(i);
+  ByteReader r(w.bytes());
+  EXPECT_EQ(r.f64s(), f);
+  EXPECT_EQ(r.i64s(), i);
+  r.expect_done();
+
+  // A count claiming more values than the stream holds is refused before
+  // anything is allocated for it.
+  ByteWriter hostile;
+  hostile.u32(0xFFFFFFFFu);
+  hostile.f64(1.0);
+  ByteReader h1(hostile.bytes());
+  EXPECT_THROW((void)h1.f64s(), std::invalid_argument);
+  ByteReader h2(hostile.bytes());
+  EXPECT_THROW((void)h2.i64s(), std::invalid_argument);
+}
+
+TEST(Serialize, TensorPointerListsUseThePackFraming) {
+  Rng rng(14);
+  std::vector<Tensor> ts{rng.normal_tensor({3}, 0, 1),
+                         rng.normal_tensor({2, 2}, 0, 1)};
+  const std::vector<Tensor*> ptrs{&ts[0], &ts[1]};
+  ByteWriter w;
+  w.tensors(ptrs);
+  EXPECT_EQ(w.bytes(), pack_tensors(ts));
+  EXPECT_EQ(wire_bytes(ptrs), wire_bytes(ts));
+}
+
+TEST(Checksum, EverySingleBitFlipChangesIt) {
+  // 1003 bytes: full four-word blocks, leftover words and a partial tail.
+  std::vector<uint8_t> bytes(1003);
+  for (size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<uint8_t>(i * 131 + 7);
+  const uint64_t base = checksum(bytes.data(), bytes.size());
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    for (int b = 0; b < 8; ++b) {
+      bytes[i] ^= static_cast<uint8_t>(1u << b);
+      EXPECT_NE(checksum(bytes.data(), bytes.size()), base)
+          << "byte " << i << " bit " << b;
+      bytes[i] ^= static_cast<uint8_t>(1u << b);
+    }
+  }
+  // The length is folded in: a zero byte appended changes it.
+  bytes.push_back(0);
+  EXPECT_NE(checksum(bytes.data(), bytes.size()), base);
 }
 
 }  // namespace

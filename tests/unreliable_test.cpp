@@ -9,14 +9,19 @@
 // through the error-feedback residual; autonomous checksummed
 // checkpointing with retention pruning, typed CheckpointError on corrupt
 // blobs, and geometry-flexible restore; and the strict --fail-agent spec
-// parser.
+// parser. Also: ReliableChannel's borrowed retransmit parks matching the
+// copying path bit for bit, payload buffers recycled through the
+// transport, and the single-pass CMDL v3 checkpoint frame.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
+#include <new>
 #include <unistd.h>
 #include <fstream>
 #include <string>
@@ -30,6 +35,27 @@
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
 #include "nn/resnet.hpp"
+#include "tensor/hash.hpp"
+
+// Counting global operator new for this test binary: the payload-recycling
+// tests count payload-sized heap allocations around a collective.
+namespace {
+std::atomic<size_t> g_count_news_from{std::numeric_limits<size_t>::max()};
+std::atomic<int64_t> g_counted_news{0};
+}  // namespace
+
+void* operator new(size_t bytes, const std::nothrow_t&) noexcept {
+  if (bytes >= g_count_news_from.load(std::memory_order_relaxed))
+    g_counted_news.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(bytes == 0 ? 1 : bytes);
+}
+void* operator new(size_t bytes) {
+  if (void* p = operator new(bytes, std::nothrow)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace comdml {
 namespace {
@@ -758,6 +784,171 @@ TEST(FaultyCollectives, RandomizedSeedSoakStaysExact) {
   }
 }
 
+// ---- borrowed retransmit parks and payload recycling -------------------------
+
+/// The stepped schedule through a ReliableChannel whose sends park copies
+/// (no borrow promise), merging by hand: the copying path the stepped
+/// executors took before they lent the channel the sender's span.
+void run_copying(const comm::SteppedSchedule& sched, comm::Transport& t,
+                 const std::vector<double*>& bufs, int64_t elems) {
+  ReliableChannel ch(t);
+  for (const comm::ScheduleStep& step : sched.steps) {
+    for (const auto& snd : step.sends)
+      ch.send(snd.src, snd.dst, snd.span.size(),
+              bufs[static_cast<size_t>(snd.src)] + snd.span.begin);
+    t.end_step();
+    for (const auto& r : step.recvs) {
+      const Message m = ch.recv(r.dst, r.src);
+      double* dst = bufs[static_cast<size_t>(r.dst)] + r.span.begin;
+      for (int64_t i = 0; i < r.span.size(); ++i)
+        dst[i] = r.accumulate ? dst[i] + m.data()[i] : m.data()[i];
+    }
+  }
+  if (!sched.scale_to_mean) return;
+  const double inv_k = 1.0 / static_cast<double>(bufs.size());
+  for (double* b : bufs)
+    for (int64_t i = 0; i < elems; ++i) b[i] *= inv_k;
+}
+
+TEST(BorrowedParks, LossyRingAndHdMatchTheCopyingPathBitForBit) {
+  constexpr int64_t kElems = 53;
+  ::setenv("COMDML_RETRY_MAX", "12", 1);
+  for (const Protocol protocol :
+       {Protocol::kRingAllReduce, Protocol::kHalvingDoublingAllReduce}) {
+    for (const int64_t k : {int64_t{5}, int64_t{16}}) {
+      for (const comm::Codec* codec :
+           {&comm::identity_codec(), &comm::quantized_codec()}) {
+        SCOPED_TRACE(std::string(comm::collective(protocol).name()) +
+                     " k=" + std::to_string(k) + " codec=" +
+                     std::string(codec->name()));
+        const auto grid = LinkGrid::uniform(k, 100.0);
+        const uint64_t seed = 70 + static_cast<uint64_t>(k);
+        const auto inputs = random_buffers(k, kElems, seed);
+
+        auto copied = inputs;
+        InProcTransport copying(grid, codec, lossy_plan(seed));
+        run_copying(comm::allreduce_schedule(protocol, k, kElems), copying,
+                    pointers(copied), kElems);
+
+        auto borrowed = inputs;
+        InProcTransport lending(grid, codec, lossy_plan(seed));
+        CollectiveRequest req;
+        req.elems = kElems;
+        req.buffers = pointers(borrowed);
+        (void)comm::collective(protocol).run(lending, req);
+
+        for (int64_t a = 0; a < k; ++a) {
+          const auto& x = copied[static_cast<size_t>(a)];
+          const auto& y = borrowed[static_cast<size_t>(a)];
+          EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size() * sizeof(double)),
+                    0)
+              << "agent " << a;
+        }
+        EXPECT_TRUE(lending.stats() == copying.stats());
+        // The plan must corrupt and force retransmits, or a flipped or
+        // re-read sender span would go unnoticed.
+        EXPECT_GT(lending.stats().corrupt_messages, 0);
+        EXPECT_GT(lending.stats().retransmit_messages, 0);
+      }
+    }
+  }
+  ::unsetenv("COMDML_RETRY_MAX");
+}
+
+TEST(BorrowedParks, RetransmitReadsTheIntactSenderSpan) {
+  FaultPlan faults;
+  faults.seed = 35;
+  auto mf = any_edge();
+  mf.corrupt_prob = 1.0;
+  mf.first_step = 0;
+  mf.last_step = 0;  // the original is corrupted, the retransmit is clean
+  faults.message_faults.push_back(mf);
+  InProcTransport t(LinkGrid::uniform(2, 100.0), nullptr, faults);
+  ReliableChannel ch(t, RetryPolicy{});
+
+  const std::vector<double> sent{9.0, 8.0, 7.0};
+  std::vector<double> span = sent;
+  comm::Transport::SendOptions borrow;
+  borrow.borrow = true;
+  ch.send(0, 1, 3, span.data(), borrow);
+  t.end_step();
+  const Message msg = ch.recv(1, 0);
+  EXPECT_EQ(t.stats().corrupt_messages, 1);
+  EXPECT_EQ(ch.retransmits(), 1);
+  EXPECT_TRUE(msg.intact());
+  EXPECT_EQ(msg.payload, sent);
+  EXPECT_EQ(span, sent) << "the corruption flip must hit the copy on the "
+                           "wire, never the sender's span";
+}
+
+/// Counts operator-new calls of at least `bytes` while alive.
+struct BigAllocCounter {
+  explicit BigAllocCounter(size_t bytes) {
+    g_counted_news = 0;
+    g_count_news_from = bytes;
+  }
+  ~BigAllocCounter() {
+    g_count_news_from = std::numeric_limits<size_t>::max();
+  }
+  [[nodiscard]] int64_t count() const { return g_counted_news.load(); }
+};
+
+TEST(PayloadPool, SecondLossyCollectiveAllocatesNoPayloadBuffer) {
+  constexpr int64_t kAgents = 4;
+  constexpr int64_t kElems = 4096;
+  ::setenv("COMDML_RETRY_MAX", "12", 1);
+  InProcTransport t(LinkGrid::uniform(kAgents, 100.0),
+                    &comm::quantized_codec(), lossy_plan(61));
+  const auto& hd = comm::collective(Protocol::kHalvingDoublingAllReduce);
+  auto first = random_buffers(kAgents, kElems, 7);
+  CollectiveRequest req;
+  req.elems = kElems;
+  req.buffers = pointers(first);
+  (void)hd.run(t, req);
+  const TransportStats first_stats = t.stats();
+  EXPECT_GT(first_stats.retransmit_messages + first_stats.duplicated_messages,
+            0);
+
+  // A new round on the same transport, like the round pipeline's.
+  t.reset();
+  EXPECT_GT(t.pooled_payloads(), 0u);
+  auto second = random_buffers(kAgents, kElems, 7);
+  req.buffers = pointers(second);
+  {
+    // The smallest halving/doubling message carries kElems / kAgents
+    // values; nothing else in a collective is that large.
+    const BigAllocCounter counter(kElems / kAgents * sizeof(double));
+    (void)hd.run(t, req);
+    EXPECT_EQ(counter.count(), 0)
+        << "every payload, retransmit and duplicate copy must fill a "
+           "recycled buffer";
+  }
+  ::unsetenv("COMDML_RETRY_MAX");
+  EXPECT_TRUE(t.stats() == first_stats);
+  EXPECT_EQ(first, second);
+  EXPECT_LE(t.pooled_payloads(), 4u * kAgents);
+}
+
+TEST(PayloadPool, ReliableRecvHandsOverTheMailboxBuffer) {
+  InProcTransport t(LinkGrid::uniform(2, 100.0));
+  const std::vector<double> values(1000, 1.5);
+  t.send(0, 1, 1000, values.data());
+  t.end_step();
+  Message first = t.recv(1, 0);
+  const double* buffer = first.payload.data();
+  t.recycle(std::move(first));
+  ASSERT_EQ(t.pooled_payloads(), 1u);
+
+  ReliableChannel ch(t, RetryPolicy{});
+  ch.send(0, 1, 1000, values.data());
+  t.end_step();
+  EXPECT_EQ(t.pooled_payloads(), 0u) << "the copying send reuses the buffer";
+  const Message got = ch.recv(1, 0);
+  EXPECT_EQ(got.payload.data(), buffer)
+      << "recv must move the delivered message out of the mailbox";
+  EXPECT_EQ(got.payload, values);
+}
+
 // ---- straggler deadline + autonomous checkpointing (RealFleet) --------------
 
 core::ModelFactory mlp_factory(int64_t in, int64_t classes) {
@@ -1003,6 +1194,111 @@ TEST(CheckpointErrors, GeometryFlexibleRestore) {
   const auto big_blob = big.checkpoint();
   auto narrow = make_fleet(fast_options(), 3);
   EXPECT_THROW(narrow.restore(big_blob), CheckpointError);
+}
+
+// ---- single-pass checkpoint frame (CMDL v3, CMDS v2) -------------------------
+
+uint32_t frame_version(const std::vector<uint8_t>& blob) {
+  uint32_t v = 0;
+  std::memcpy(&v, blob.data() + sizeof(uint32_t), sizeof(v));
+  return v;
+}
+
+std::vector<uint8_t> with_version(std::vector<uint8_t> blob, uint32_t v) {
+  std::memcpy(blob.data() + sizeof(uint32_t), &v, sizeof(v));
+  return blob;
+}
+
+/// Quantized buckets with error feedback: the blob carries a residual slab.
+FleetOptions residual_options() {
+  FleetOptions opt = fast_options();
+  opt.comms.codec = FleetOptions::CommOptions::Codec::kInt8Quantized;
+  opt.comms.error_feedback = true;
+  return opt;
+}
+
+TEST(CheckpointFrame, V3RoundTripResumesBitIdentically) {
+  auto original = make_fleet(residual_options(), 4);
+  for (int r = 0; r < 2; ++r) (void)original.step();
+  const auto blob = original.checkpoint();
+  EXPECT_EQ(frame_version(blob), 3u);
+
+  auto resumed = make_fleet(residual_options(), 4);
+  resumed.restore(blob);
+  EXPECT_EQ(resumed.checkpoint(), blob)
+      << "restore then checkpoint must reproduce the blob byte for byte";
+  for (int r = 0; r < 2; ++r) {
+    const auto a = original.step();
+    const auto b = resumed.step();
+    EXPECT_EQ(a.mean_loss, b.mean_loss);
+  }
+  EXPECT_EQ(original.checkpoint(), resumed.checkpoint());
+}
+
+TEST(CheckpointFrame, EverySingleBitFlipInChecksumOrBodyIsRejected) {
+  auto fleet = make_fleet(residual_options(), 3);
+  (void)fleet.step();
+  const auto good = fleet.checkpoint();
+  auto probe = make_fleet(residual_options(), 3);
+  probe.restore(good);  // the unflipped blob is fine
+  // Byte 8 on is the checksum field and then the body; each byte gets one
+  // flipped bit, cycling through the bit positions.
+  auto blob = good;
+  for (size_t i = 2 * sizeof(uint32_t); i < blob.size(); ++i) {
+    const auto bit = static_cast<uint8_t>(1u << (i % 8));
+    blob[i] ^= bit;
+    EXPECT_THROW(probe.restore(blob), CheckpointError) << "byte " << i;
+    blob[i] ^= bit;
+  }
+  EXPECT_EQ(probe.checkpoint(), good)
+      << "rejected blobs must leave the fleet untouched";
+}
+
+TEST(CheckpointFrame, OlderVersionsAreRefusedByNumber) {
+  auto fleet = make_fleet(fast_options(), 3);
+  (void)fleet.step();
+  const auto blob = fleet.checkpoint();
+  for (const uint32_t old : {1u, 2u}) {
+    auto probe = make_fleet(fast_options(), 3);
+    try {
+      probe.restore(with_version(blob, old));
+      ADD_FAILURE() << "version " << old << " accepted";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find("version " + std::to_string(old)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+
+  // Shards: CMDS version 2, and version 1 is refused by number too.
+  FleetOptions flat = fast_options();
+  flat.comms.bucket_bytes = 0;
+  auto source = make_fleet(flat, 3);
+  (void)source.step();
+  const auto shard = source.checkpoint_shard(0, 1, {0, 1, 2});
+  EXPECT_EQ(frame_version(shard), 2u);
+  auto target = make_fleet(flat, 3);
+  target.restore_shards({shard});
+  EXPECT_EQ(target.checkpoint(), source.checkpoint());
+  try {
+    target.restore_shards({with_version(shard, 1)});
+    ADD_FAILURE() << "shard version 1 accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(AutoCheckpoint, FileIsByteEqualToCheckpoint) {
+  TempDir dir("bytes");
+  FleetOptions opt = residual_options();
+  opt.faults.checkpoint_every = 1;
+  opt.faults.checkpoint_dir = dir.path.string();
+  auto fleet = make_fleet(opt, 3);
+  (void)fleet.step();
+  const auto files = checkpoint_files(dir.path);
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(read_blob(files[0]), fleet.checkpoint());
 }
 
 // ---- --fail-agent spec parsing ----------------------------------------------
