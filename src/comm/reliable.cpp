@@ -44,10 +44,14 @@ ReliableChannel::ReliableChannel(Transport& transport,
     : transport_(&transport), policy_(policy) {
   COMDML_CHECK(policy_.max_retries >= 0);
   COMDML_CHECK(policy_.backoff_base_sec >= 0.0);
-  const auto edges = static_cast<size_t>(transport.endpoints()) *
-                     static_cast<size_t>(transport.endpoints());
-  last_delivered_.assign(edges, -1);
-  sent_.resize(edges);
+  const int64_t n = transport.endpoints();
+  // Everything already sent on an edge belongs to an earlier schedule:
+  // delayed or duplicated copies of it still in the mailbox are stale.
+  last_delivered_.resize(static_cast<size_t>(n * n));
+  for (int64_t src = 0; src < n; ++src)
+    for (int64_t dst = 0; dst < n; ++dst)
+      last_delivered_[edge(src, dst)] = transport.next_seq(src, dst) - 1;
+  sent_.resize(static_cast<size_t>(n * n));
 }
 
 void ReliableChannel::send(int64_t src, int64_t dst, int64_t elems,

@@ -161,7 +161,9 @@ class ReliableChannel {
 
   Transport* transport_;
   RetryPolicy policy_;
-  std::vector<int64_t> last_delivered_;    // per edge, -1 = nothing yet
+  /// Per edge: the highest seq delivered, starting at the last seq the
+  /// transport sent before this channel existed (-1 on a fresh edge).
+  std::vector<int64_t> last_delivered_;
   std::vector<std::deque<Unacked>> sent_;  // per edge, ascending seq
   int64_t retransmits_ = 0;
 };

@@ -258,7 +258,7 @@ void SocketTransport::handle_data(const std::vector<uint8_t>& body) {
   frame.dup_copy = (flags & kFlagDupCopy) != 0;
   frame.msg.deliver_after_step = reader.i64();
   frame.span = reader.f64();
-  frame.msg.payload = reader.f64s();
+  reader.f64s(frame.msg.payload);
   inject_remote(std::move(frame));
   note_arrival();
 }

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 
+#include "comm/quantize.hpp"
 #include "tensor/hash.hpp"
 #include "tensor/tensor.hpp"
 
@@ -37,7 +38,7 @@ double hash_uniform(uint64_t h) {
 }
 
 /// Message checksum over the delivered fp64 payload bits.
-uint64_t payload_checksum(const std::vector<double>& payload) {
+uint64_t payload_checksum(const Payload& payload) {
   return tensor::checksum(payload.data(), payload.size() * sizeof(double));
 }
 
@@ -97,6 +98,17 @@ LinkModel& LinkGrid::link(int64_t src, int64_t dst) {
 
 // ---- codecs -----------------------------------------------------------------
 
+int64_t Codec::encode_feedback(double* data, double* residual,
+                               int64_t elems) const {
+  for (int64_t i = 0; i < elems; ++i) {
+    data[i] += residual[i];
+    residual[i] = data[i];
+  }
+  const int64_t wire = encode(data, elems);
+  for (int64_t i = 0; i < elems; ++i) residual[i] -= data[i];
+  return wire;
+}
+
 namespace {
 
 class IdentityCodec final : public Codec {
@@ -105,6 +117,12 @@ class IdentityCodec final : public Codec {
   [[nodiscard]] bool lossless() const override { return true; }
   [[nodiscard]] int64_t wire_bytes(int64_t elems,
                                    const double* /*data*/) const override {
+    return fp32_wire_bytes(elems);
+  }
+  [[nodiscard]] int64_t encode_into(const double* src, double* dst,
+                                    int64_t elems) const override {
+    if (src != dst && elems > 0)
+      std::memcpy(dst, src, static_cast<size_t>(elems) * sizeof(double));
     return fp32_wire_bytes(elems);
   }
 };
@@ -130,34 +148,34 @@ int64_t QuantizingCodec::wire_bytes(int64_t elems,
   return quantized_wire_bytes(elems);
 }
 
-void QuantizingCodec::transform(double* data, int64_t elems) const {
-  if (elems == 0) return;
-  // Symmetric int8 round trip: scale = max|v|/127, q = round(v/scale)
-  // clamped to [-127, 127], v' = scale * q. The scale travels as fp32 (the
-  // 4-byte header), so dequantization uses the wire-precision scale.
-  double max_abs = 0.0;
-  for (int64_t i = 0; i < elems; ++i)
-    max_abs = std::max(max_abs, std::fabs(data[i]));
-  if (max_abs == 0.0) return;  // all-zero payload is exact
-  const float scale = static_cast<float>(max_abs / 127.0);
-  // Degenerate dynamic ranges cannot ride the fp32 scale header: an
-  // Inf/NaN element would turn every finite element into NaN (inv_scale
-  // = 0, inf * 0), and a sub-fp32-normal range would map zeros through
-  // 0 * inf. Ship such payloads unquantized (the wire charge is
-  // data-independent either way) instead of poisoning the bucket — and,
-  // under error feedback, the residual — with NaNs.
-  if (!std::isfinite(scale) || scale < std::numeric_limits<float>::min())
-    return;
-  const double inv_scale = 1.0 / static_cast<double>(scale);
-  for (int64_t i = 0; i < elems; ++i) {
-    const double q = std::nearbyint(data[i] * inv_scale);
-    data[i] = static_cast<double>(scale) *
-              std::clamp(q, -127.0, 127.0);
+int64_t QuantizingCodec::encode_into(const double* src, double* dst,
+                                     int64_t elems) const {
+  // Symmetric int8 round trip (comm/quantize.hpp): the scale travels as
+  // fp32 (the 4-byte header), so dequantization uses the wire-precision
+  // scale. Payloads the header cannot carry (all zeros, Inf elements,
+  // sub-fp32-normal ranges) ship unquantized; the wire charge is
+  // data-independent either way.
+  const int8::Kernels& k = int8::kernels();
+  const float scale = int8::wire_scale(k.max_abs(src, elems));
+  if (scale != 0.0f) {
+    k.quantize(src, dst, elems, scale);
+  } else if (src != dst && elems > 0) {
+    std::memcpy(dst, src, static_cast<size_t>(elems) * sizeof(double));
   }
+  return quantized_wire_bytes(elems);
 }
 
-int64_t QuantizingCodec::encode(double* data, int64_t elems) const {
-  transform(data, elems);
+int64_t QuantizingCodec::encode_feedback(double* data, double* residual,
+                                         int64_t elems) const {
+  const int8::Kernels& k = int8::kernels();
+  const float scale = int8::wire_scale(k.add_max_abs(data, residual, elems));
+  if (scale != 0.0f) {
+    k.quantize_feedback(data, residual, elems, scale);
+  } else {
+    // Shipped unquantized: the error is the sum minus itself (0, or NaN
+    // for an Inf element), as in the unfused composition.
+    for (int64_t i = 0; i < elems; ++i) residual[i] = data[i] - data[i];
+  }
   return quantized_wire_bytes(elems);
 }
 
@@ -411,16 +429,17 @@ int64_t Transport::send(int64_t src, int64_t dst, int64_t elems,
   const bool moves_payload = delivers_payload() && data != nullptr && elems > 0;
   const bool borrowed = moves_payload && opts.borrow && local && !fault_plan &&
                         codec_->lossless();
-  // Copying sends encode the copy once (measure + lossy round trip in one
-  // codec pass); borrowed and timing-only sends just measure.
-  std::vector<double> payload;
+  // Copying sends encode straight from the sender's span into the
+  // message's buffer (the identity codec's encode is that one copy);
+  // borrowed and timing-only sends just measure.
+  Payload payload;
   int64_t wire = 0;
   if (moves_payload && !borrowed) {
     // Remote frames leave with their payload, so only local copies take a
-    // recycled buffer.
+    // recycled buffer. The resize does not zero-fill (PayloadAllocator).
     if (local) payload = take_payload(elems);
-    payload.assign(data, data + elems);
-    wire = codec_->encode(payload.data(), elems);
+    payload.resize(static_cast<size_t>(elems));
+    wire = codec_->encode_into(data, payload.data(), elems);
   } else {
     wire = codec_->wire_bytes(elems, data);
   }
@@ -546,7 +565,7 @@ int64_t Transport::send(int64_t src, int64_t dst, int64_t elems,
       Message copy;
       if (duplicate) {
         // Every field but the payload, which fills a recycled buffer too.
-        std::vector<double> original = std::move(msg.payload);
+        Payload original = std::move(msg.payload);
         copy = msg;
         if (!original.empty()) {
           copy.payload = take_payload(elems);
@@ -701,8 +720,8 @@ void Transport::end_step() {
   step_messages_ = 0;
 }
 
-std::vector<double> Transport::take_payload(int64_t elems) {
-  std::vector<double> out;
+Payload Transport::take_payload(int64_t elems) {
+  Payload out;
   size_t capacity = 0;
   {
     std::lock_guard<std::mutex> guard(pool_mutex_);
@@ -721,9 +740,9 @@ void Transport::recycle(Message&& msg) {
   if (local_endpoint(msg.src)) park_payload(std::move(msg.payload));
 }
 
-void Transport::park_payload(std::vector<double>&& payload) {
+void Transport::park_payload(Payload&& payload) {
   if (payload.capacity() == 0) return;
-  std::vector<double> buffer = std::move(payload);
+  Payload buffer = std::move(payload);
   std::lock_guard<std::mutex> guard(pool_mutex_);
   if (payload_pool_.size() < 4 * static_cast<size_t>(endpoints()))
     payload_pool_.push_back(std::move(buffer));
@@ -732,6 +751,12 @@ void Transport::park_payload(std::vector<double>&& payload) {
 size_t Transport::pooled_payloads() const {
   std::lock_guard<std::mutex> guard(pool_mutex_);
   return payload_pool_.size();
+}
+
+int64_t Transport::next_seq(int64_t src, int64_t dst) const {
+  COMDML_CHECK(src >= 0 && src < endpoints() && dst >= 0 && dst < endpoints());
+  std::lock_guard<std::mutex> guard(mutex_);
+  return next_seq_[static_cast<size_t>(src * endpoints() + dst)];
 }
 
 void Transport::reset() {

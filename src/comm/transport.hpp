@@ -25,8 +25,9 @@
 // through the default codec); in-process math keeps fp64 accumulators, the
 // same precision split the original AllReduce executor used.
 //
-// Payload ownership: a send normally copies the sender's values into the
-// message (and through the codec). Stepped collectives instead *borrow*
+// Payload ownership: a send normally encodes the sender's values straight
+// into the message's own buffer (Codec::encode_into; for the fp32 codec
+// that is one copy). Stepped collectives instead *borrow*
 // (SendOptions::borrow): when the destination is in this process, the
 // transport has no message-fault plan and the codec is lossless (fp32),
 // the message keeps a pointer into the sender's buffer and the receiver
@@ -39,13 +40,16 @@
 // quantized collective stops allocating payloads after its first run.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "comm/link.hpp"
@@ -99,28 +103,34 @@ class LinkGrid {
 
 /// Per-message wire codec. `wire_bytes` must return the same value for a
 /// timing-only message (`data == nullptr`) as its analytic estimate, so
-/// simulated and executed traffic stay comparable; `transform` applies the
-/// lossy round trip to delivered payloads.
+/// simulated and executed traffic stay comparable; `encode_into` produces
+/// the values a receiver gets after the wire round trip.
 class Codec {
  public:
   virtual ~Codec() = default;
   [[nodiscard]] virtual std::string_view name() const = 0;
-  /// True when `transform` is the identity on fp64 payloads, so a receiver
+  /// True when encoding is the identity on fp64 payloads, so a receiver
   /// may read the sender's values directly (borrowed sends). Only the fp32
   /// identity codec says so.
   [[nodiscard]] virtual bool lossless() const { return false; }
   [[nodiscard]] virtual int64_t wire_bytes(int64_t elems,
                                            const double* data) const = 0;
-  virtual void transform(double* /*data*/, int64_t /*elems*/) const {}
-  /// One-pass encode for delivered payloads: applies the lossy round trip
-  /// in place and returns the wire bytes. The default composes
-  /// wire_bytes + transform; compressing codecs override it so a send
-  /// compresses each payload once, not twice.
-  [[nodiscard]] virtual int64_t encode(double* data, int64_t elems) const {
-    const int64_t wire = wire_bytes(elems, data);
-    transform(data, elems);
-    return wire;
+  /// Encode `src[0, elems)` into `dst[0, elems)` (the delivered values)
+  /// and return the wire bytes, in one read of the source: a send encodes
+  /// straight from the sender's span into the message's buffer. `src ==
+  /// dst` encodes in place; otherwise the spans must not overlap.
+  [[nodiscard]] virtual int64_t encode_into(const double* src, double* dst,
+                                            int64_t elems) const = 0;
+  /// In-place encode_into.
+  [[nodiscard]] int64_t encode(double* data, int64_t elems) const {
+    return encode_into(data, data, elems);
   }
+  /// Error-feedback encode: data += residual, then data = Q(data) and
+  /// residual = (the sum) - Q(data), where Q is encode; returns the wire
+  /// bytes. The default composes those steps; codecs with a kernel for it
+  /// fuse them.
+  virtual int64_t encode_feedback(double* data, double* residual,
+                                  int64_t elems) const;
 };
 
 /// fp32 on the wire, lossless in fp64 accumulators: elems * 4 bytes.
@@ -135,7 +145,9 @@ class Codec {
 /// executes. Signed values survive (unlike the sparse activation codec in
 /// comm/compress.hpp, which drops negatives); the round trip is lossy at
 /// int8 resolution of the payload's dynamic range, which the round
-/// pipeline's per-bucket error feedback re-injects next round.
+/// pipeline's per-bucket error feedback re-injects next round. Delivered
+/// payloads stay fp64 in memory (the dequantized values); only the wire
+/// charge is int8.
 class QuantizingCodec final : public Codec {
  public:
   /// Wire bytes of `elems` quantized values: a 4-byte scale header plus
@@ -145,8 +157,15 @@ class QuantizingCodec final : public Codec {
   [[nodiscard]] std::string_view name() const override { return "int8"; }
   [[nodiscard]] int64_t wire_bytes(int64_t elems,
                                    const double* data) const override;
-  void transform(double* data, int64_t elems) const override;
-  [[nodiscard]] int64_t encode(double* data, int64_t elems) const override;
+  /// Two passes, both through the comm/quantize.hpp kernels (AVX2 where
+  /// the CPU has it): a max-|v| scan of `src`, then a quantize from `src`
+  /// into `dst`.
+  [[nodiscard]] int64_t encode_into(const double* src, double* dst,
+                                    int64_t elems) const override;
+  /// Two passes as well: the scan adds the residual, the quantize keeps
+  /// the fresh error.
+  int64_t encode_feedback(double* data, double* residual,
+                          int64_t elems) const override;
 };
 
 /// Shared immutable QuantizingCodec instance (codecs are borrowed by
@@ -222,6 +241,39 @@ class EndpointDownError : public std::runtime_error {
   int64_t endpoint_;
 };
 
+/// Allocator of message payload buffers. Resizing a buffer leaves the new
+/// doubles uninitialized instead of zero-filling them: whatever fills a
+/// payload (a codec's encode_into, a socket frame's decode) overwrites
+/// every value right away.
+template <class T>
+struct PayloadAllocator : std::allocator<T> {
+  template <class U>
+  struct rebind {
+    using other = PayloadAllocator<U>;
+  };
+  PayloadAllocator() = default;
+  template <class U>
+  PayloadAllocator(const PayloadAllocator<U>& /*other*/) noexcept {}
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// A message's owned payload values.
+using Payload = std::vector<double, PayloadAllocator<double>>;
+
+/// A payload equals a plain vector holding the same values (C++20 derives
+/// the reversed and != forms).
+[[nodiscard]] inline bool operator==(const Payload& a,
+                                     const std::vector<double>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
 /// One in-flight (or delivered) message.
 struct Message {
   int64_t src = -1;
@@ -249,7 +301,7 @@ struct Message {
   int64_t deliver_after_step = -1;
   /// Owned copy of the delivered values (after the codec). Empty on
   /// timing-only transports and for borrowed messages.
-  std::vector<double> payload;
+  Payload payload;
   /// Borrowed messages (see Transport::SendOptions::borrow) point into the
   /// sender's buffer instead of owning `payload`; null otherwise. Valid
   /// only until the sender's step is merged.
@@ -448,6 +500,11 @@ class Transport {
     std::lock_guard<std::mutex> guard(mutex_);
     return stats_.dropped_on(src, dst);
   }
+  /// Sequence number the next fresh send on src -> dst will carry (every
+  /// earlier one was sent already). A new ReliableChannel starts its
+  /// dedupe window here, so mail left over from an earlier schedule on
+  /// the same transport reads as stale.
+  [[nodiscard]] int64_t next_seq(int64_t src, int64_t dst) const;
   /// Clears stats and undelivered mail; fault schedules and manual
   /// endpoint deaths survive (reset() is "new round", not "new fleet" —
   /// note a step-scheduled failure re-arms because the step counter
@@ -562,7 +619,7 @@ class Transport {
   }
   /// Park a consumed local payload buffer on the free list (released
   /// instead when the list is full). Takes pool_mutex_ only.
-  void park_payload(std::vector<double>&& payload);
+  void park_payload(Payload&& payload);
   /// Empty every mailbox, recycling the undelivered payloads. Caller
   /// holds mutex_.
   void drain_mailboxes_locked();
@@ -571,7 +628,7 @@ class Transport {
   /// payload this transport has copied, so every parked buffer serves
   /// every send, and a schedule run a second time allocates none (while
   /// the free list's bound holds its buffers).
-  [[nodiscard]] std::vector<double> take_payload(int64_t elems);
+  [[nodiscard]] Payload take_payload(int64_t elems);
 
   LinkGrid grid_;
   const Codec* codec_;  // never null after construction
@@ -589,7 +646,7 @@ class Transport {
   /// endpoint and step) plus their duplicate, retransmitted and delayed
   /// copies under a fault plan. Own lock: sends fill buffers outside
   /// mutex_.
-  std::vector<std::vector<double>> payload_pool_;
+  std::vector<Payload> payload_pool_;
   size_t pool_capacity_ = 0;  ///< largest payload copied so far, in values
   mutable std::mutex pool_mutex_;
 };

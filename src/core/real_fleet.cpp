@@ -313,7 +313,8 @@ RealFleet::RoundStats RealFleet::step() {
       const int64_t slow_batches =
           slow_die >= 0 ? std::min(batches, slow_die) : batches;
       nn::LocalLossSplitTrainer split(*slow.model, pair.cut, in_shape_,
-                                      classes_, rng, sgd);
+                                      classes_, rng, sgd,
+                                      std::move(slow.split_velocity));
       for (int64_t b = 0; b < slow_batches; ++b) {
         const auto batch = next_batch(pair.slow_agent, rng);
         nn::LocalLossSplitTrainer::StepStats step;
@@ -357,6 +358,7 @@ RealFleet::RoundStats RealFleet::step() {
           ++out.dcor_count;
         }
       }
+      slow.split_velocity = split.take_velocity();
       if (slow_die >= 0) kill_agent(pair.slow_agent);
       train_full(pair.fast_agent, rng, out);
     } else {

@@ -249,6 +249,10 @@ class RealFleet {
     /// rejoin. Split-trained slow replicas keep per-round transient unit
     /// optimizers (their auxiliary heads are themselves transient).
     std::vector<tensor::Tensor> velocity;
+    /// The split trainer's momentum buffers, kept between rounds only so
+    /// the next split trainer reuses them (zero-filled) instead of
+    /// allocating; never checkpointed.
+    std::vector<tensor::Tensor> split_velocity;
   };
 
   Options options_;

@@ -219,12 +219,9 @@ void RoundPipeline::apply_error_feedback(int64_t agent, int64_t bucket) {
   // quantize once and keep the fresh error: r' = (x + r) - Q(x + r). With
   // no codec (straggler-only residuals) Q is the identity and the carried
   // residual folds in completely, leaving r' = 0.
-  for (int64_t i = 0; i < bk.elems; ++i) {
-    s[i] += r[i];
-    r[i] = s[i];
-  }
-  if (codec_ != nullptr) codec_->transform(s, bk.elems);
-  for (int64_t i = 0; i < bk.elems; ++i) r[i] -= s[i];
+  const comm::Codec& codec =
+      codec_ != nullptr ? *codec_ : comm::identity_codec();
+  codec.encode_feedback(s, r, bk.elems);
 }
 
 void RoundPipeline::contribute(int64_t agent, int64_t bucket) {
@@ -239,7 +236,7 @@ void RoundPipeline::contribute(int64_t agent, int64_t bucket) {
   if (!residual_.empty()) {
     apply_error_feedback(agent, bucket);
   } else if (codec_ != nullptr) {
-    codec_->transform(slot(agent, bucket), plan_->bucket(bucket).elems);
+    (void)codec_->encode(slot(agent, bucket), plan_->bucket(bucket).elems);
   }
   const char was = mark(agent, bucket).exchange(1, std::memory_order_acq_rel);
   COMDML_CHECK(was == 0);

@@ -31,6 +31,26 @@ std::vector<Parameter*> with_aux(std::vector<Parameter*> params, Module& aux) {
   return params;
 }
 
+/// An SGD over `params` with zero momentum, in buffers taken from
+/// `spare[first, ...)` where the shapes match (zero-filled) and fresh ones
+/// elsewhere.
+SGD zeroed_sgd(std::vector<Parameter*> params, SGD::Options options,
+               std::vector<Tensor>& spare, size_t first) {
+  std::vector<Tensor> velocity;
+  velocity.reserve(params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    const Shape& shape = params[i]->value.shape();
+    const size_t j = first + i;
+    if (j < spare.size() && spare[j].shape() == shape) {
+      spare[j].fill(0.0f);
+      velocity.push_back(std::move(spare[j]));
+    } else {
+      velocity.emplace_back(shape);
+    }
+  }
+  return SGD(std::move(params), options, std::move(velocity));
+}
+
 Shape feature_shape_at(const Sequential& model, const Shape& in_shape,
                        size_t cut) {
   const auto costs = model.unit_costs(in_shape);
@@ -43,17 +63,26 @@ Shape feature_shape_at(const Sequential& model, const Shape& in_shape,
 LocalLossSplitTrainer::LocalLossSplitTrainer(Sequential& model, size_t cut,
                                              const Shape& in_shape,
                                              int64_t classes, Rng& rng,
-                                             SGD::Options options)
+                                             SGD::Options options,
+                                             std::vector<Tensor> spare)
     : model_(model),
       cut_(cut),
       aux_(make_aux_head(feature_shape_at(model, in_shape, cut), classes,
                          rng)),
-      slow_opt_(with_aux(range_parameters(model, 0, cut), *aux_), options),
-      fast_opt_(range_parameters(model, cut, model.size()), options) {
+      slow_opt_(zeroed_sgd(with_aux(range_parameters(model, 0, cut), *aux_),
+                           options, spare, 0)),
+      fast_opt_(zeroed_sgd(range_parameters(model, cut, model.size()),
+                           options, spare, slow_opt_.size())) {
   COMDML_REQUIRE(cut >= 1 && cut < model.size(),
                  "split cut " << cut << " must leave at least one unit on "
                                  "each side of a model with "
                               << model.size() << " units");
+}
+
+std::vector<Tensor> LocalLossSplitTrainer::take_velocity() {
+  std::vector<Tensor> out = slow_opt_.take_velocity();
+  for (Tensor& v : fast_opt_.take_velocity()) out.push_back(std::move(v));
+  return out;
 }
 
 LocalLossSplitTrainer::StepStats LocalLossSplitTrainer::train_batch(

@@ -28,9 +28,13 @@ namespace comdml::nn {
 class LocalLossSplitTrainer {
  public:
   /// `model` must outlive the trainer. `cut` in [1, model.size()-1]:
-  /// at least one unit on each side.
+  /// at least one unit on each side. Both optimizers start from zero
+  /// momentum; `spare` may hold an earlier trainer's take_velocity()
+  /// buffers, which are zero-filled and reused where their shapes match
+  /// instead of allocating fresh ones.
   LocalLossSplitTrainer(Sequential& model, size_t cut, const Shape& in_shape,
-                        int64_t classes, Rng& rng, SGD::Options options);
+                        int64_t classes, Rng& rng, SGD::Options options,
+                        std::vector<Tensor> spare = {});
 
   struct StepStats {
     float slow_loss = 0.0f;   ///< auxiliary-head local loss (Eq. 2)
@@ -69,6 +73,10 @@ class LocalLossSplitTrainer {
   [[nodiscard]] Module& aux_head() { return *aux_; }
   [[nodiscard]] SGD& slow_optimizer() { return slow_opt_; }
   [[nodiscard]] SGD& fast_optimizer() { return fast_opt_; }
+  /// Hand both optimizers' momentum buffers out (slow side, then fast
+  /// side) for a later trainer's `spare`. The trainer must not train
+  /// afterwards.
+  [[nodiscard]] std::vector<Tensor> take_velocity();
 
  private:
   Sequential& model_;

@@ -53,19 +53,6 @@ int64_t list_wire_bytes(const List& ts) {
   return static_cast<int64_t>(total);
 }
 
-/// Bulk read of `n` fixed-width values after one bounds check.
-template <typename T>
-std::vector<T> read_array(const std::vector<uint8_t>& bytes, size_t& offset,
-                          uint32_t n) {
-  const size_t len = static_cast<size_t>(n) * sizeof(T);
-  COMDML_REQUIRE(len <= bytes.size() - offset,
-                 "truncated array of " << n << " values at offset " << offset);
-  std::vector<T> out(n);
-  if (len > 0) std::memcpy(out.data(), bytes.data() + offset, len);
-  offset += len;
-  return out;
-}
-
 }  // namespace
 
 std::vector<uint8_t> to_bytes(const Tensor& t) {
@@ -128,7 +115,7 @@ void ByteWriter::i64s(const std::vector<int64_t>& v) {
   buf_.insert(buf_.end(), p, p + v.size() * sizeof(int64_t));
 }
 
-void ByteWriter::f64s(const std::vector<double>& v) {
+void ByteWriter::f64s(std::span<const double> v) {
   u32(static_cast<uint32_t>(v.size()));
   const auto* p = reinterpret_cast<const uint8_t*>(v.data());
   buf_.insert(buf_.end(), p, p + v.size() * sizeof(double));
@@ -164,12 +151,26 @@ std::string ByteReader::str() {
 
 std::vector<int64_t> ByteReader::i64s() {
   const auto n = u32();
-  return read_array<int64_t>(*bytes_, offset_, n);
+  const uint8_t* values = take_array(n, sizeof(int64_t));
+  std::vector<int64_t> out(n);
+  if (n > 0) std::memcpy(out.data(), values, n * sizeof(int64_t));
+  return out;
 }
 
 std::vector<double> ByteReader::f64s() {
-  const auto n = u32();
-  return read_array<double>(*bytes_, offset_, n);
+  std::vector<double> out;
+  f64s(out);
+  return out;
+}
+
+const uint8_t* ByteReader::take_array(uint32_t n, size_t size) {
+  const size_t len = static_cast<size_t>(n) * size;
+  COMDML_REQUIRE(len <= bytes_->size() - offset_,
+                 "truncated array of " << n << " values at offset "
+                                       << offset_);
+  const uint8_t* out = bytes_->data() + offset_;
+  offset_ += len;
+  return out;
 }
 
 std::vector<Tensor> ByteReader::tensors() {

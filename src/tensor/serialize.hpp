@@ -5,6 +5,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,7 +52,7 @@ class ByteWriter {
   void str(const std::string& s);
   /// u32 count + payload.
   void i64s(const std::vector<int64_t>& v);
-  void f64s(const std::vector<double>& v);
+  void f64s(std::span<const double> v);
   /// pack_tensors framing (u32 count + per-tensor wire format).
   void tensors(const std::vector<Tensor>& ts);
   /// Same framing straight from live tensors (a model's collect_state
@@ -93,6 +95,15 @@ class ByteReader {
   [[nodiscard]] std::string str();
   [[nodiscard]] std::vector<int64_t> i64s();
   [[nodiscard]] std::vector<double> f64s();
+  /// f64s() into `out`, resized to the count: one copy of the values,
+  /// with no zero-fill first where `out`'s allocator skips it.
+  template <class Alloc>
+  void f64s(std::vector<double, Alloc>& out) {
+    const auto n = u32();
+    const uint8_t* values = take_array(n, sizeof(double));
+    out.resize(n);
+    if (n > 0) std::memcpy(out.data(), values, n * sizeof(double));
+  }
   [[nodiscard]] std::vector<Tensor> tensors();
 
   [[nodiscard]] bool done() const noexcept {
@@ -105,6 +116,10 @@ class ByteReader {
   void expect_done() const;
 
  private:
+  /// The next `n` values of `size` bytes each; throws when the stream is
+  /// shorter.
+  [[nodiscard]] const uint8_t* take_array(uint32_t n, size_t size);
+
   const std::vector<uint8_t>* bytes_;
   size_t offset_ = 0;
 };

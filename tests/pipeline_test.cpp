@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <thread>
 
 #include "baselines/real_baselines.hpp"
@@ -636,6 +638,44 @@ TEST(CompressedBuckets, ErrorFeedbackDrivesRepeatedRoundsToTheMean) {
   }
 }
 
+TEST(CompressedBuckets, FusedErrorFeedbackMatchesUnfusedComposition) {
+  // encode_feedback folds s += r into the max scan and r = s - Q(s) into
+  // the quantize: two passes, bit-identical to the five-pass composition
+  // it replaced, Inf and NaN sums included.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const comm::Codec* codec :
+       {&comm::quantized_codec(), &comm::identity_codec()})
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{301066}})
+      for (const bool with_inf : {false, true}) {
+        Rng rng(70 + n);
+        std::vector<double> s(n), r(n);
+        for (size_t i = 0; i < n; ++i) {
+          s[i] = rng.normal(0.0f, 1.0f);
+          r[i] = 0.01 * rng.normal(0.0f, 1.0f);
+        }
+        if (with_inf && n > 0) {
+          s[n / 2] = inf;
+          r[0] = -inf;  // inf + -inf at n == 1: a NaN sum
+        }
+        std::vector<double> s_ref = s, r_ref = r;
+        for (size_t i = 0; i < n; ++i) {
+          s_ref[i] += r_ref[i];
+          r_ref[i] = s_ref[i];
+        }
+        const int64_t elems = static_cast<int64_t>(n);
+        const int64_t wire = codec->encode(s_ref.data(), elems);
+        for (size_t i = 0; i < n; ++i) r_ref[i] -= s_ref[i];
+
+        EXPECT_EQ(codec->encode_feedback(s.data(), r.data(), elems), wire);
+        if (n == 0) continue;  // memcmp takes no null (empty) pointers
+        const size_t bytes = n * sizeof(double);
+        EXPECT_EQ(std::memcmp(s.data(), s_ref.data(), bytes), 0)
+            << codec->name() << " n=" << n << " inf=" << with_inf;
+        EXPECT_EQ(std::memcmp(r.data(), r_ref.data(), bytes), 0)
+            << codec->name() << " n=" << n << " inf=" << with_inf;
+      }
+}
+
 TEST(CompressedBuckets, QuantizedFleetTracksFp32Accuracy) {
   // Tier-1 convergence: a quantized+error-feedback fleet must land within
   // tolerance of the fp32 fleet's accuracy on the blob workload.
@@ -720,6 +760,50 @@ TEST(SplitNotify, MatchesTrainBatchBitwise) {
   const auto state_a = nn::state_of(*model_a);
   const auto state_b = nn::state_of(*model_b);
   expect_states_equal(state_a, state_b, "split notify vs plain");
+}
+
+TEST(SplitNotify, ReusedMomentumBuffersStartFromZero) {
+  // A split trainer handed an earlier trainer's momentum buffers reuses
+  // them zero-filled: its updates are bit-identical to a fresh trainer's,
+  // so the momentum stays transient per round.
+  const tensor::Shape in_shape{6};
+  const int64_t classes = 3, samples = 10;
+  Rng data_rng(31);
+  const Tensor x = data_rng.normal_tensor({samples, 6}, 0, 1);
+  const auto labels = batch_labels(samples, classes, 32);
+  nn::SGD::Options sgd{0.05f, 0.9f, 0.0f};
+  const size_t cut = 2;
+
+  Rng m1(5), m2(5), m3(8), t1(6), t2(6), t3(9);
+  const auto fresh_model = nn::mlp({6, 16, 12, classes}, m1);
+  const auto reused_model = nn::mlp({6, 16, 12, classes}, m2);
+  const auto warmup_model = nn::mlp({6, 16, 12, classes}, m3);
+
+  // Leave non-zero momentum in the buffers that get reused.
+  nn::LocalLossSplitTrainer warmup(*warmup_model, cut, in_shape, classes,
+                                   t3, sgd);
+  for (int b = 0; b < 2; ++b) (void)warmup.train_batch(x, labels);
+  std::vector<Tensor> spare = warmup.take_velocity();
+  std::vector<const float*> spare_data;
+  for (const Tensor& v : spare) spare_data.push_back(v.flat().data());
+
+  nn::LocalLossSplitTrainer fresh(*fresh_model, cut, in_shape, classes, t1,
+                                  sgd);
+  nn::LocalLossSplitTrainer reused(*reused_model, cut, in_shape, classes, t2,
+                                   sgd, std::move(spare));
+  for (int b = 0; b < 3; ++b) {
+    const auto sa = fresh.train_batch(x, labels);
+    const auto sb = reused.train_batch(x, labels);
+    EXPECT_EQ(sa.slow_loss, sb.slow_loss) << "batch " << b;
+    EXPECT_EQ(sa.fast_loss, sb.fast_loss) << "batch " << b;
+  }
+  expect_states_equal(nn::state_of(*fresh_model),
+                      nn::state_of(*reused_model), "reused vs fresh momentum");
+  const std::vector<Tensor> handed_back = reused.take_velocity();
+  ASSERT_EQ(handed_back.size(), spare_data.size());
+  for (size_t i = 0; i < handed_back.size(); ++i)
+    EXPECT_EQ(handed_back[i].flat().data(), spare_data[i])
+        << "buffer " << i << " was reallocated";
 }
 
 TEST(SplitNotify, PrefixUnitsFinalizeBeforeSuffixBackward) {

@@ -14,6 +14,7 @@
 
 #include "comm/allreduce.hpp"
 #include "comm/collective.hpp"
+#include "comm/quantize.hpp"
 #include "comm/reliable.hpp"
 #include "comm/transport.hpp"
 
@@ -342,25 +343,25 @@ TEST(Codecs, QuantizingCodecRoundTripIsBoundedLossy) {
     data[i] = (i % 2 == 0 ? 1.0 : -1.0) * static_cast<double>(i) / 64.0;
   const auto original = data;
   QuantizingCodec codec;
-  codec.transform(data.data(), static_cast<int64_t>(data.size()));
+  (void)codec.encode(data.data(), static_cast<int64_t>(data.size()));
   double max_abs = 0.0;
   for (const double v : original) max_abs = std::max(max_abs, std::fabs(v));
   for (size_t i = 0; i < data.size(); ++i)
     EXPECT_NEAR(data[i], original[i], max_abs / 127.0);
   // All-zero payloads round-trip exactly.
   std::vector<double> zeros(8, 0.0);
-  codec.transform(zeros.data(), 8);
+  (void)codec.encode(zeros.data(), 8);
   for (const double v : zeros) EXPECT_EQ(v, 0.0);
   // Degenerate dynamic ranges (non-finite or fp32-underflowing scale)
   // ship unquantized instead of NaN-poisoning the finite elements.
   std::vector<double> inf_payload{1.0, std::numeric_limits<double>::infinity(),
                                   -2.0, 0.0};
-  codec.transform(inf_payload.data(), 4);
+  (void)codec.encode(inf_payload.data(), 4);
   EXPECT_EQ(inf_payload[0], 1.0);
   EXPECT_EQ(inf_payload[2], -2.0);
   EXPECT_EQ(inf_payload[3], 0.0);
   std::vector<double> tiny(4, 1e-60);  // below the fp32 normal range
-  codec.transform(tiny.data(), 4);
+  (void)codec.encode(tiny.data(), 4);
   for (const double v : tiny) EXPECT_EQ(v, 1e-60);
 }
 
@@ -377,6 +378,206 @@ TEST(Codecs, TransportAppliesCodecToDeliveredPayload) {
   EXPECT_LT(msg.wire_bytes, 32 * 4);
   for (size_t i = 0; i < data.size(); ++i)
     EXPECT_NEAR(msg.payload[i], data[i], 0.5 / 127.0);
+}
+
+// ---- int8 codec kernels ------------------------------------------------------
+
+/// The int8 round trip as a plain scalar loop, written out independently of
+/// the library: what every kernel and encode path must reproduce bit for
+/// bit.
+void reference_transform(double* data, int64_t elems) {
+  double max_abs = 0.0;
+  for (int64_t i = 0; i < elems; ++i)
+    max_abs = std::max(max_abs, std::fabs(data[i]));
+  if (max_abs == 0.0) return;
+  const float scale = static_cast<float>(max_abs / 127.0);
+  if (!std::isfinite(scale) || scale < std::numeric_limits<float>::min())
+    return;
+  const double inv_scale = 1.0 / static_cast<double>(scale);
+  for (int64_t i = 0; i < elems; ++i) {
+    const double q = std::nearbyint(data[i] * inv_scale);
+    data[i] = static_cast<double>(scale) * std::clamp(q, -127.0, 127.0);
+  }
+}
+
+bool same_bits(const double* a, const double* b, size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+bool same_bits(double a, double b) { return same_bits(&a, &b, 1); }
+
+/// Values that probe each kernel's edge cases at scale 1 (the quantize
+/// input is then the value itself): signed zeros, exact .5 ties, values
+/// that round to just past +-127, NaN (with a payload, and negative) and
+/// +-Inf.
+std::vector<double> edge_values() {
+  uint64_t nan_bits = 0x7ff80000deadbeefull;
+  double payload_nan = 0.0;
+  std::memcpy(&payload_nan, &nan_bits, sizeof(payload_nan));
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  return {-0.0,   0.0,    0.5,    -0.5,    1.5,    -2.5,         3.5,
+          126.5,  -126.5, 127.5,  -127.5,  127.49, -127.51,      128.0,
+          -130.0, 1e-310, -0.49,  payload_nan, -nan, inf,        -inf};
+}
+
+/// One kernel input of `n` values starting `offset` elements into its
+/// buffer (offset 1 breaks every 32-byte vector alignment).
+struct KernelInput {
+  std::vector<double> storage;
+  double* data() { return storage.data() + offset; }
+  const double* data() const { return storage.data() + offset; }
+  size_t n = 0;
+  size_t offset = 0;
+};
+
+enum class Fill { kWide, kEdges, kZeros, kTiny };
+
+KernelInput kernel_input(size_t n, size_t offset, Fill fill, uint64_t seed) {
+  KernelInput in;
+  in.n = n;
+  in.offset = offset;
+  in.storage.assign(n + offset, 0.0);
+  Rng rng(seed);
+  const auto edges = edge_values();
+  for (size_t i = 0; i < n; ++i) {
+    double& v = in.storage[offset + i];
+    switch (fill) {
+      case Fill::kWide:
+        v = static_cast<double>(rng.uniform(-130.0f, 130.0f));
+        break;
+      case Fill::kEdges:
+        v = (i % 3 == 0) ? edges[(i / 3) % edges.size()]
+                         : static_cast<double>(rng.uniform(-130.0f, 130.0f));
+        break;
+      case Fill::kZeros:
+        v = (i % 2 == 0) ? 0.0 : -0.0;
+        break;
+      case Fill::kTiny:  // a range below the fp32 normal minimum
+        v = static_cast<double>(rng.uniform(-1.0f, 1.0f)) * 1e-45;
+        break;
+    }
+  }
+  return in;
+}
+
+/// Runs every kernel of `a` and `b` on the same input and requires
+/// bit-identical outputs.
+void expect_kernels_agree(const int8::Kernels& a, const int8::Kernels& b,
+                          KernelInput in, float scale) {
+  const size_t n = in.n;
+  const auto elems = static_cast<int64_t>(n);
+  SCOPED_TRACE(::testing::Message() << "n=" << n << " offset=" << in.offset
+                                    << " scale=" << scale);
+  EXPECT_TRUE(same_bits(a.max_abs(in.data(), elems),
+                        b.max_abs(in.data(), elems)));
+
+  // Out of place into unaligned destinations, and in place.
+  std::vector<double> out_a(n + 1, 7.0);
+  std::vector<double> out_b(n + 1, 7.0);
+  a.quantize(in.data(), out_a.data() + 1, elems, scale);
+  b.quantize(in.data(), out_b.data() + 1, elems, scale);
+  EXPECT_TRUE(same_bits(out_a.data(), out_b.data(), n + 1));
+  KernelInput in_a = in;
+  KernelInput in_b = in;
+  a.quantize(in_a.data(), in_a.data(), elems, scale);
+  b.quantize(in_b.data(), in_b.data(), elems, scale);
+  EXPECT_TRUE(same_bits(in_a.data(), in_b.data(), n));
+  EXPECT_TRUE(same_bits(in_a.data(), out_a.data() + 1, n));
+
+  // The error-feedback pair, with the input doubling as the residual.
+  KernelInput s_a = kernel_input(n, in.offset, Fill::kWide, 99 + n);
+  KernelInput s_b = s_a;
+  KernelInput r_a = in;
+  KernelInput r_b = in;
+  EXPECT_TRUE(same_bits(a.add_max_abs(s_a.data(), r_a.data(), elems),
+                        b.add_max_abs(s_b.data(), r_b.data(), elems)));
+  EXPECT_TRUE(same_bits(s_a.data(), s_b.data(), n));
+  a.quantize_feedback(s_a.data(), r_a.data(), elems, scale);
+  b.quantize_feedback(s_b.data(), r_b.data(), elems, scale);
+  EXPECT_TRUE(same_bits(s_a.data(), s_b.data(), n));
+  EXPECT_TRUE(same_bits(r_a.data(), r_b.data(), n));
+}
+
+TEST(Int8Kernels, Avx2MatchesScalarBitForBit) {
+  const int8::Kernels* avx2 = int8::avx2_kernels();
+  if (avx2 == nullptr) GTEST_SKIP() << "no AVX2 kernels on this build/CPU";
+  const int8::Kernels& scalar = int8::scalar_kernels();
+  std::vector<size_t> lengths(18);
+  std::iota(lengths.begin(), lengths.end(), size_t{0});
+  lengths.push_back(301066);
+  for (const size_t n : lengths)
+    for (const size_t offset : {size_t{0}, size_t{1}})
+      for (const Fill fill : {Fill::kWide, Fill::kEdges, Fill::kZeros}) {
+        const KernelInput in = kernel_input(n, offset, fill, 7 + n);
+        expect_kernels_agree(scalar, *avx2, in, 1.0f);
+        expect_kernels_agree(scalar, *avx2, in, 0.37f);
+        const float wire = int8::wire_scale(
+            scalar.max_abs(in.data(), static_cast<int64_t>(n)));
+        if (wire != 0.0f) expect_kernels_agree(scalar, *avx2, in, wire);
+        expect_kernels_agree(scalar, *avx2,
+                             kernel_input(n, offset, Fill::kTiny, 3 + n),
+                             std::numeric_limits<float>::min());
+      }
+}
+
+TEST(Int8Kernels, ScalarKernelsMatchTheReferenceLoop) {
+  // Whichever kernels this process selected, the codec's in-place encode
+  // is the reference int8 round trip.
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{5}, size_t{17},
+                         size_t{4096}})
+    for (const Fill fill :
+         {Fill::kWide, Fill::kEdges, Fill::kZeros, Fill::kTiny}) {
+      KernelInput expected = kernel_input(n, 1, fill, 40 + n);
+      KernelInput got = expected;
+      reference_transform(expected.data(), static_cast<int64_t>(n));
+      EXPECT_EQ(quantized_codec().encode(got.data(), static_cast<int64_t>(n)),
+                QuantizingCodec::quantized_wire_bytes(static_cast<int64_t>(n)));
+      EXPECT_TRUE(same_bits(expected.data(), got.data(), n))
+          << "n=" << n << " kernels=" << int8::kernels().name;
+    }
+}
+
+TEST(Codecs, EncodeIntoMatchesCopyThenEncodeAndKeepsTheSource) {
+  for (const Codec* codec : {&identity_codec(), &quantized_codec()})
+    for (const size_t n : {size_t{0}, size_t{3}, size_t{301066}}) {
+      KernelInput src = kernel_input(n, 1, Fill::kEdges, 50 + n);
+      const std::vector<double> before(src.data(), src.data() + n);
+      std::vector<double> expected = before;
+      const int64_t wire_in_place =
+          codec->encode(expected.data(), static_cast<int64_t>(n));
+      std::vector<double> out(n + 1, -1.0);
+      EXPECT_EQ(codec->encode_into(src.data(), out.data() + 1,
+                                   static_cast<int64_t>(n)),
+                wire_in_place);
+      EXPECT_TRUE(same_bits(out.data() + 1, expected.data(), n))
+          << codec->name() << " n=" << n;
+      EXPECT_TRUE(same_bits(src.data(), before.data(), n));
+    }
+}
+
+TEST(Codecs, FusedSendMatchesCopyThenEncode) {
+  // The send encodes from the sender's span straight into the message's
+  // buffer; the delivered bits equal a copy encoded in place, for both
+  // codecs and for copies from the payload pool.
+  for (const Codec* codec : {&identity_codec(), &quantized_codec()}) {
+    InProcTransport t(LinkGrid::uniform(2, 100.0), codec);
+    for (const size_t n : {size_t{1}, size_t{17}, size_t{301066},
+                           size_t{1000}}) {
+      KernelInput src = kernel_input(n, 1, Fill::kEdges, 60 + n);
+      std::vector<double> expected(src.data(), src.data() + n);
+      const int64_t wire =
+          codec->encode(expected.data(), static_cast<int64_t>(n));
+      t.send(0, 1, static_cast<int64_t>(n), src.data());
+      t.end_step();
+      Message msg = t.recv(1, 0);
+      EXPECT_EQ(msg.wire_bytes, wire);
+      ASSERT_EQ(msg.payload.size(), n);
+      EXPECT_TRUE(same_bits(msg.payload.data(), expected.data(), n))
+          << codec->name() << " n=" << n;
+      t.recycle(std::move(msg));
+    }
+  }
 }
 
 // The tentpole parity invariant for compressed collectives: with the

@@ -189,7 +189,7 @@ TEST(MessageFaults, CorruptionFlipsPayloadAndFailsIntact) {
 }
 
 /// Flip bit `bit` of payload element `i` in place.
-void flip_bit(std::vector<double>& payload, size_t i, int bit) {
+void flip_bit(comm::Payload& payload, size_t i, int bit) {
   uint64_t word;
   std::memcpy(&word, &payload[i], sizeof(word));
   word ^= uint64_t{1} << bit;
@@ -768,6 +768,41 @@ TEST(FaultyCollectives, ParamServerServerDeathIsFatal) {
     t.schedule_endpoint_failure(0, 1 << 20);  // recovery armed
     EXPECT_THROW((void)comm::collective(Protocol::kParamServer).run(t, req),
                  DeliveryTimeoutError);
+  }
+}
+
+TEST(FaultyCollectives, SecondRunOnAnUnresetTransportIgnoresStaleMail) {
+  // Delayed and duplicated copies of the first run's messages are still in
+  // the mailboxes when the second run starts on the same transport. Each
+  // run's ReliableChannel starts its dedupe window at the transport's
+  // per-edge sequence counters, so those copies read as stale instead of
+  // being merged as the second run's data.
+  const int64_t k = 4;
+  const int64_t elems = 17;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    FaultPlan faults;
+    faults.seed = seed;
+    auto mf = any_edge();
+    mf.delay_prob = 0.5;
+    mf.duplicate_prob = 0.3;
+    faults.message_faults.push_back(mf);
+    InProcTransport faulty(LinkGrid::uniform(k, 100.0), nullptr, faults);
+    auto first = random_buffers(k, elems, 500 + seed);
+    CollectiveRequest req;
+    req.elems = elems;
+    req.buffers = pointers(first);
+    (void)comm::collective(Protocol::kRingAllReduce).run(faulty, req);
+
+    auto second = random_buffers(k, elems, 900 + seed);
+    auto expected = second;
+    req.buffers = pointers(second);
+    (void)comm::collective(Protocol::kRingAllReduce).run(faulty, req);
+    InProcTransport clean(LinkGrid::uniform(k, 100.0));
+    req.buffers = pointers(expected);
+    (void)comm::collective(Protocol::kRingAllReduce).run(clean, req);
+    for (size_t a = 0; a < static_cast<size_t>(k); ++a)
+      EXPECT_EQ(second[a], expected[a])
+          << "fault seed " << seed << ", agent " << a;
   }
 }
 
