@@ -4,10 +4,11 @@
 //
 // Before the google-benchmark suite runs, a hand-rolled kernel suite times
 // the optimized matmul/conv kernels against the kept naive references at
-// 1/2/4/8 threads plus the wire codecs and the message checksum, and
-// writes the results to BENCH_kernels.json (op, shape, threads, GFLOP/s —
-// GB/s for the codec and checksum entries, speedup vs the serial
-// reference) so the perf trajectory is tracked across PRs. An allocation
+// 1/2/4/8 threads, one small_cnn training step (full and split), the wire
+// codecs and the message checksum, and writes the results to
+// BENCH_kernels.json (op, shape, threads, GFLOP/s — GB/s for the codec and
+// checksum entries, milliseconds per training step, speedup vs
+// the serial reference) so the perf trajectory is tracked across PRs. An allocation
 // probe then measures heap and workspace-arena traffic per conv2d
 // forward/backward step after warmup, so the zero-steady-state-allocation
 // property is a number, not a claim.
@@ -34,6 +35,7 @@
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
 #include "nn/conv.hpp"
+#include "nn/split.hpp"
 #include "privacy/dcor.hpp"
 #include "tensor/gemm.hpp"
 
@@ -337,6 +339,41 @@ void run_kernel_suite() {
               nn::conv2d_reference_backward(x, w, g, 1, 1, dw));
         },
         [&] { benchmark::DoNotOptimize(conv.backward(g)); });
+  }
+
+  {
+    // One small_cnn training step at the cnn_compute perfbench shapes
+    // (batch 16 of 3x16x16, 10 classes), one thread: a full-model SGD
+    // step and a local-loss split step cut after the stem. Wall
+    // milliseconds per step — the end-to-end cost of conv, batch-norm and ReLU layers
+    // together, where the kernel rows above time one layer alone.
+    core::set_num_threads(1);
+    Rng rng(45);
+    const Tensor x = rng.normal_tensor({16, 3, 16, 16}, 0, 1);
+    std::vector<int64_t> labels(16);
+    for (size_t i = 0; i < labels.size(); ++i)
+      labels[i] = static_cast<int64_t>(i % 10);
+    const nn::SGD::Options sgd{0.05f, 0.9f, 0.0f};
+    auto full = nn::small_cnn(3, 10, rng);
+    nn::SGD opt(full->parameters(), sgd);
+    const double t_full = time_seconds([&] {
+      benchmark::DoNotOptimize(nn::train_batch_full(*full, opt, x, labels));
+    });
+    auto split_model = nn::small_cnn(3, 10, rng);
+    nn::LocalLossSplitTrainer split(*split_model, 1, {3, 16, 16}, 10, rng,
+                                    sgd);
+    const double t_split = time_seconds([&] {
+      benchmark::DoNotOptimize(split.train_batch(x, labels));
+    });
+    core::set_num_threads(0);
+    records.push_back({"train_batch_full", "small_cnn_b16_3x16x16", 1,
+                       t_full * 1e3, 1.0, "step_ms"});
+    records.push_back({"split_train_batch", "small_cnn_b16_3x16x16_cut1", 1,
+                       t_split * 1e3, 1.0, "step_ms"});
+    std::printf("  %-18s %-22s threads=1: %8.3f ms/step\n",
+                "train_batch_full", "small_cnn_b16", t_full * 1e3);
+    std::printf("  %-18s %-22s threads=1: %8.3f ms/step\n",
+                "split_train_batch", "small_cnn_b16_cut1", t_split * 1e3);
   }
 
   {

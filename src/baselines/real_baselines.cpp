@@ -62,7 +62,7 @@ float RealBaselineFleet::train_locally(
       opt.zero_grad();
       const auto logits = model.forward(batch.x, true);
       auto res = nn::softmax_cross_entropy(logits, batch.y);
-      (void)model.backward(res.grad_logits);
+      model.backward_params(res.grad_logits);
       std::vector<nn::Parameter*> params = model.parameters();
       size_t g = 0;
       std::vector<tensor::Tensor*> state;

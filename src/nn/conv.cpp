@@ -1,5 +1,6 @@
 #include "nn/conv.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 
@@ -11,61 +12,90 @@ namespace comdml::nn {
 
 namespace {
 
+/// Output columns [lo, hi) whose k taps all fall inside an input row of
+/// width w; columns outside it have at least one tap in the padding.
+struct InteriorColumns {
+  int64_t lo, hi;
+};
+
+InteriorColumns interior_columns(int64_t w, int64_t k, int64_t stride,
+                                 int64_t pad, int64_t wo) {
+  // ox*stride - pad >= 0 and ox*stride - pad + k <= w.
+  const int64_t lo = std::min(wo, (pad + stride - 1) / stride);
+  const int64_t hi =
+      w + pad >= k ? std::clamp((w + pad - k) / stride + 1, lo, wo) : lo;
+  return {lo, hi};
+}
+
 /// Unrolls one sample x_c [cin,h,w] into col [ho*wo, cin*k*k] (row-major):
 /// row r = oy*wo + ox holds the receptive field of output position (oy,ox),
 /// column c = (ci*k + ky)*k + kx — the flattened-weight column order.
+/// Walks one input row (ci, iy) at a time across every output column, so
+/// only the border columns test their taps against the row's extent.
 void im2col(const float* xc, int64_t cin, int64_t h, int64_t w, int64_t k,
             int64_t stride, int64_t pad, int64_t ho, int64_t wo, float* col) {
   const int64_t ckk = cin * k * k;
+  const InteriorColumns inner = interior_columns(w, k, stride, pad, wo);
   for (int64_t oy = 0; oy < ho; ++oy) {
     const int64_t iy0 = oy * stride - pad;
-    for (int64_t ox = 0; ox < wo; ++ox) {
-      const int64_t ix0 = ox * stride - pad;
-      float* row = col + (oy * wo + ox) * ckk;
-      for (int64_t ci = 0; ci < cin; ++ci) {
-        const float* xch = xc + ci * h * w;
-        for (int64_t ky = 0; ky < k; ++ky) {
-          const int64_t iy = iy0 + ky;
-          float* dst = row + (ci * k + ky) * k;
-          if (iy < 0 || iy >= h) {
-            for (int64_t kx = 0; kx < k; ++kx) dst[kx] = 0.0f;
-            continue;
-          }
-          const float* src = xch + iy * w;
-          for (int64_t kx = 0; kx < k; ++kx) {
-            const int64_t ix = ix0 + kx;
-            dst[kx] = (ix < 0 || ix >= w) ? 0.0f : src[ix];
-          }
+    for (int64_t ci = 0; ci < cin; ++ci) {
+      for (int64_t ky = 0; ky < k; ++ky) {
+        const int64_t iy = iy0 + ky;
+        // Tap row (ci, ky) of output position (oy, ox) is dst[ox*ckk ..].
+        float* dst = col + oy * wo * ckk + (ci * k + ky) * k;
+        if (iy < 0 || iy >= h) {
+          for (int64_t ox = 0; ox < wo; ++ox)
+            for (int64_t kx = 0; kx < k; ++kx) dst[ox * ckk + kx] = 0.0f;
+          continue;
         }
+        const float* src = xc + (ci * h + iy) * w;
+        const auto border = [&](int64_t ox) {
+          for (int64_t kx = 0; kx < k; ++kx) {
+            const int64_t ix = ox * stride - pad + kx;
+            dst[ox * ckk + kx] = (ix < 0 || ix >= w) ? 0.0f : src[ix];
+          }
+        };
+        for (int64_t ox = 0; ox < inner.lo; ++ox) border(ox);
+        for (int64_t ox = inner.lo; ox < inner.hi; ++ox) {
+          const float* s = src + ox * stride - pad;
+          float* d = dst + ox * ckk;
+          for (int64_t kx = 0; kx < k; ++kx) d[kx] = s[kx];
+        }
+        for (int64_t ox = inner.hi; ox < wo; ++ox) border(ox);
       }
     }
   }
 }
 
 /// Scatter-adds dcol [ho*wo, cin*k*k] back into one sample gradient
-/// dx_c [cin,h,w]. Fixed (row, column)-ascending order keeps the
-/// overlapping-window accumulation deterministic.
+/// dx_c [cin,h,w], in im2col's walk order. Each dx element gathers its
+/// overlapping-window terms in ascending (oy, ox) order — for one oy only
+/// one ky reaches its row — so the accumulation is deterministic.
 void col2im(const float* dcol, int64_t cin, int64_t h, int64_t w, int64_t k,
             int64_t stride, int64_t pad, int64_t ho, int64_t wo, float* dxc) {
   const int64_t ckk = cin * k * k;
+  const InteriorColumns inner = interior_columns(w, k, stride, pad, wo);
   for (int64_t oy = 0; oy < ho; ++oy) {
     const int64_t iy0 = oy * stride - pad;
-    for (int64_t ox = 0; ox < wo; ++ox) {
-      const int64_t ix0 = ox * stride - pad;
-      const float* row = dcol + (oy * wo + ox) * ckk;
-      for (int64_t ci = 0; ci < cin; ++ci) {
-        float* dxch = dxc + ci * h * w;
-        for (int64_t ky = 0; ky < k; ++ky) {
-          const int64_t iy = iy0 + ky;
-          if (iy < 0 || iy >= h) continue;
-          const float* src = row + (ci * k + ky) * k;
-          float* dst = dxch + iy * w;
+    for (int64_t ci = 0; ci < cin; ++ci) {
+      for (int64_t ky = 0; ky < k; ++ky) {
+        const int64_t iy = iy0 + ky;
+        if (iy < 0 || iy >= h) continue;
+        const float* src = dcol + oy * wo * ckk + (ci * k + ky) * k;
+        float* dst = dxc + (ci * h + iy) * w;
+        const auto border = [&](int64_t ox) {
           for (int64_t kx = 0; kx < k; ++kx) {
-            const int64_t ix = ix0 + kx;
-            if (ix < 0 || ix >= w) continue;
-            dst[ix] += src[kx];
+            const int64_t ix = ox * stride - pad + kx;
+            if (ix >= 0 && ix < w) dst[ix] += src[ox * ckk + kx];
           }
+        };
+        for (int64_t ox = 0; ox < inner.lo; ++ox) border(ox);
+        for (int64_t ox = inner.lo; ox < inner.hi; ++ox) {
+          const float* s = src + ox * ckk;
+          float* d = dst + ox * stride - pad;
+          for (int64_t kx = 0; kx < k; ++kx) d[kx] += s[kx];
         }
+        for (int64_t ox = inner.hi; ox < wo; ++ox) border(ox);
       }
     }
   }
@@ -79,16 +109,9 @@ void transpose_to_chw(const float* src, int64_t how, int64_t cout,
     for (int64_t p = 0; p < how; ++p) dst[co * how + p] = src[p * cout + co];
 }
 
-/// Gather one sample's grad block [cout, how] into GEMM layout [how, cout].
-void transpose_to_hwc(const float* src, int64_t cout, int64_t how,
-                      float* dst) {
-  for (int64_t p = 0; p < how; ++p)
-    for (int64_t co = 0; co < cout; ++co) dst[p * cout + co] = src[co * how + p];
-}
-
-/// Cap on the batched path's total live arena scratch (all slabs of one
-/// pass combined): beyond this the layer falls back to the per-sample GEMM
-/// loop instead of growing the workspace arena unboundedly.
+/// Cap on a pass's batch-sized arena scratch (all slabs combined): beyond
+/// it forward falls back to the per-sample GEMM loop and backward unrolls
+/// the batch in chunks, instead of growing the workspace arena unboundedly.
 constexpr int64_t kMaxBatchedScratchBytes = int64_t{256} << 20;
 
 }  // namespace
@@ -184,6 +207,14 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
+  return backward_impl(grad_out, /*input_grad=*/true);
+}
+
+void Conv2d::backward_params(const Tensor& grad_out) {
+  (void)backward_impl(grad_out, /*input_grad=*/false);
+}
+
+Tensor Conv2d::backward_impl(const Tensor& grad_out, bool input_grad) {
   COMDML_CHECK(!cached_input_.empty());
   const Tensor& x = cached_input_;
   const int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
@@ -194,82 +225,58 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                  "conv backward: bad grad shape "
                      << tensor::shape_str(grad_out.shape()));
 
-  Tensor dx(x.shape());
   const int64_t how = ho * wo;
   const int64_t ckk = cin_ * k_ * k_;
   // weight is [cout, cin, k, k] row-major == [cout, ckk] flattened.
   const float* wp = weight_.value.flat().data();
   const float* xp = x.flat().data();
   const float* gp = grad_out.flat().data();
-  float* dxp = dx.flat().data();
-
-  // Batched: with G gathered into GEMM layout gt [N*ho*wo, cout] and all
-  // receptive fields in col_all [N*ho*wo, cin*k*k],
-  //   dW  = gt^T @ col_all   (one gemm_tn folds the cross-sample reduction
-  //                           into the ascending-k accumulation — no
-  //                           per-sample partial slabs or serial merge)
-  //   dcol = gt @ W          (one gemm_nn over every sample)
-  // then dx_n = col2im(dcol_n) per sample. Both GEMMs accumulate each
-  // output element over ascending k independent of the row partition, so
-  // the result is bit-identical at every thread count.
-  const int64_t col_elems = n * how * ckk;
   float* dwp = weight_.grad.flat().data();
-  // Peak live scratch of this path: col_all + gt + dcol_all together.
-  if ((2 * col_elems + n * how * cout_) *
-          static_cast<int64_t>(sizeof(float)) <=
-      kMaxBatchedScratchBytes) {
-    core::Scratch<float> col_all(col_elems);
-    core::Scratch<float> gt(n * how * cout_);
-    float* colp = col_all.data();
-    float* gtp = gt.data();
-    core::parallel_for(0, n, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t in = lo; in < hi; ++in) {
-        im2col(xp + in * cin_ * h * w, cin_, h, w, k_, stride_, pad_, ho, wo,
-               colp + in * how * ckk);
-        transpose_to_hwc(gp + in * cout_ * how, cout_, how,
-                         gtp + in * how * cout_);
-      }
-    });
-    tensor::gemm_tn(gtp, colp, dwp, cout_, n * how, ckk,
-                    /*accumulate=*/true);  // dW [cout, cin*k*k]
-    core::Scratch<float> dcol_all(col_elems);
-    float* dcolp = dcol_all.data();
-    tensor::gemm_nn(gtp, wp, dcolp, n * how, cout_,
-                    ckk);  // dcol [N*ho*wo, cin*k*k]
-    core::parallel_for(0, n, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t in = lo; in < hi; ++in)
-        col2im(dcolp + in * how * ckk, cin_, h, w, k_, stride_, pad_, ho, wo,
-               dxp + in * cin_ * h * w);
-    });
-    return dx;
-  }
 
-  // Fallback (oversized batch): per-sample dW_n = G_n @ col_n,
-  // dcol_n = G_n^T @ W, dx_n = col2im(dcol). dx rows are disjoint across
-  // samples; per-sample dW partials land in disjoint slices of one arena
-  // slab and are reduced serially in sample order afterwards, so the
-  // accumulation is independent of the thread count.
-  core::Scratch<float> dw_all(n * cout_ * ckk);
-  float* dw_all_p = dw_all.data();
+  // dW [cout, cin*k*k] += G_n [cout, ho*wo] @ col_n [ho*wo, cin*k*k], one
+  // accumulating GEMM per sample in sample order. Each call picks up dW
+  // where the previous one stored it, and both micro-kernels keep every
+  // element's running sum in a float register seeded from C, so each dW
+  // element runs one ascending-k multiply-add chain over (sample,
+  // position): the chain a single reduction GEMM over all samples would
+  // run, without gathering G into [N*ho*wo, cout] first. Samples are
+  // unrolled in chunks whose col slab fits the scratch cap (the whole
+  // batch unless it is oversized); a chunk's im2col runs sample-parallel,
+  // its GEMMs in sample order, so dW is bit-identical at every thread count
+  // and chunk size.
+  const int64_t col_bytes = how * ckk * static_cast<int64_t>(sizeof(float));
+  const int64_t chunk =
+      std::clamp<int64_t>(kMaxBatchedScratchBytes / col_bytes, 1, n);
+  {
+    core::Scratch<float> col(chunk * how * ckk);
+    float* colp = col.data();
+    for (int64_t n0 = 0; n0 < n; n0 += chunk) {
+      const int64_t n1 = std::min(n, n0 + chunk);
+      core::parallel_for(n0, n1, 1, [&](int64_t lo, int64_t hi) {
+        for (int64_t in = lo; in < hi; ++in)
+          im2col(xp + in * cin_ * h * w, cin_, h, w, k_, stride_, pad_, ho,
+                 wo, colp + (in - n0) * how * ckk);
+      });
+      for (int64_t in = n0; in < n1; ++in)
+        tensor::gemm_nn(gp + in * cout_ * how, colp + (in - n0) * how * ckk,
+                        dwp, cout_, how, ckk, /*accumulate=*/true);
+    }
+  }
+  if (!input_grad) return {};
+
+  // dx_n = col2im(G_n^T @ W): samples write disjoint dx slices, and each
+  // dcol element sums over cout in ascending order whatever the partition.
+  Tensor dx(x.shape());
+  float* dxp = dx.flat().data();
   core::parallel_for(0, n, 1, [&](int64_t lo, int64_t hi) {
-    core::Scratch<float> col(how * ckk);
     core::Scratch<float> dcol(how * ckk);
     for (int64_t in = lo; in < hi; ++in) {
-      im2col(xp + in * cin_ * h * w, cin_, h, w, k_, stride_, pad_, ho, wo,
-             col.data());
-      const float* gm = gp + in * cout_ * how;  // [cout, ho*wo]
-      tensor::gemm_nn(gm, col.data(), dw_all_p + in * cout_ * ckk, cout_,
-                      how, ckk);  // dW_n [cout, cin*k*k]
-      tensor::gemm_tn(gm, wp, dcol.data(), how, cout_,
+      tensor::gemm_tn(gp + in * cout_ * how, wp, dcol.data(), how, cout_,
                       ckk);  // dcol [ho*wo, cin*k*k]
       col2im(dcol.data(), cin_, h, w, k_, stride_, pad_, ho, wo,
              dxp + in * cin_ * h * w);
     }
   });
-  for (int64_t in = 0; in < n; ++in) {
-    const float* src = dw_all_p + in * cout_ * ckk;
-    for (int64_t i = 0; i < cout_ * ckk; ++i) dwp[i] += src[i];
-  }
   return dx;
 }
 

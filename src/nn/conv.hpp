@@ -2,8 +2,13 @@
 //
 // Forward and backward run as im2col + GEMM so convolution rides the
 // cache-blocked, thread-parallel matmul kernels; samples are additionally
-// processed in parallel. The direct naive kernels are kept as
-// conv2d_reference_* for parity tests and benchmark baselines.
+// processed in parallel. im2col re-unrolls the input in backward rather
+// than keeping the forward's slab alive between the passes. Backward
+// accumulates dW with one GEMM per sample in sample order (each dW element
+// runs the ascending-k chain of one reduction over the whole batch), and
+// backward_params() skips the dx half — the dcol GEMM and col2im — for a
+// caller that drops the input gradient. The direct naive kernels are kept
+// as conv2d_reference_* for parity tests and benchmark baselines.
 #pragma once
 
 #include "nn/module.hpp"
@@ -30,6 +35,7 @@ class Conv2d : public Module {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   [[nodiscard]] LayerCost cost(const Shape& in_shape) const override;
   [[nodiscard]] std::string kind() const override;
@@ -43,6 +49,9 @@ class Conv2d : public Module {
   }
 
  private:
+  /// Accumulates dW; returns dx when `input_grad`, else an empty tensor.
+  Tensor backward_impl(const Tensor& grad_out, bool input_grad);
+
   int64_t cin_, cout_, k_, stride_, pad_;
   Parameter weight_;  ///< [cout, cin, k, k]
   Tensor cached_input_;

@@ -1,5 +1,8 @@
 #include "nn/layers.hpp"
 
+#include <bit>
+#include <cstdint>
+
 #include "tensor/gemm.hpp"
 
 namespace comdml::nn {
@@ -85,13 +88,13 @@ Tensor Linear::forward(const Tensor& x, bool /*train*/) {
   return y;
 }
 
-Tensor Linear::backward(const Tensor& grad_out) {
+void Linear::backward_params(const Tensor& grad_out) {
   COMDML_REQUIRE(grad_out.rank() == 2 && grad_out.dim(1) == out_,
                  "linear backward: bad grad shape "
                      << tensor::shape_str(grad_out.shape()));
   COMDML_CHECK(!cached_input_.empty());
   // dW = dY^T X accumulated straight into the grad tensor (no [out,in]
-  // temporary + axpy pass), db = colsum(dY), dX = dY W.
+  // temporary + axpy pass), db = colsum(dY).
   tensor::gemm_tn(grad_out.flat().data(), cached_input_.flat().data(),
                   weight_.grad.flat().data(), out_, grad_out.dim(0), in_,
                   /*accumulate=*/true);
@@ -100,7 +103,11 @@ Tensor Linear::backward(const Tensor& grad_out) {
   auto bg = bias_.grad.flat();
   for (int64_t i = 0; i < n; ++i)
     for (int64_t j = 0; j < out_; ++j) bg[j] += go[i * out_ + j];
-  return matmul(grad_out, weight_.value);  // [N,in]
+}
+
+Tensor Linear::backward(const Tensor& grad_out) {
+  backward_params(grad_out);
+  return matmul(grad_out, weight_.value);  // dX = dY W, [N,in]
 }
 
 void Linear::collect_parameters(std::vector<Parameter*>& out) {
@@ -128,10 +135,16 @@ Tensor ReLU::forward(const Tensor& x, bool /*train*/) {
   auto xi = x.flat();
   auto yo = y.flat();
   auto mo = mask.flat();
+  // Bit-mask select instead of a branch: the sign of BN output is a coin
+  // flip the branch predictor cannot learn. `keep` is all-ones exactly
+  // where x > 0 (false for NaN, +-0 and negatives), so y keeps x's bits
+  // there and is +0 elsewhere, and the mask is 1.0f or +0 — the same bits
+  // as the select `x > 0 ? x : 0`.
+  constexpr uint32_t kOneBits = std::bit_cast<uint32_t>(1.0f);
   for (size_t i = 0; i < xi.size(); ++i) {
-    const bool pos = xi[i] > 0.0f;
-    yo[i] = pos ? xi[i] : 0.0f;
-    mo[i] = pos ? 1.0f : 0.0f;
+    const uint32_t keep = 0u - static_cast<uint32_t>(xi[i] > 0.0f);
+    yo[i] = std::bit_cast<float>(std::bit_cast<uint32_t>(xi[i]) & keep);
+    mo[i] = std::bit_cast<float>(kOneBits & keep);
   }
   cached_mask_ = std::move(mask);
   return y;
@@ -247,6 +260,16 @@ Tensor Sequential::backward_range(const Tensor& grad_out, size_t begin,
   Tensor cur = grad_out;
   for (size_t i = end; i > begin; --i) cur = units_[i - 1]->backward(cur);
   return cur;
+}
+
+void Sequential::backward_params_range(const Tensor& grad_out, size_t begin,
+                                       size_t end) {
+  COMDML_REQUIRE(begin <= end && end <= units_.size(),
+                 "backward_params_range [" << begin << "," << end << ") of "
+                                           << units_.size());
+  if (begin == end) return;
+  const Tensor grad = backward_range(grad_out, begin + 1, end);
+  units_[begin]->backward_params(grad);
 }
 
 void Sequential::collect_parameters(std::vector<Parameter*>& out) {

@@ -12,6 +12,7 @@ class Linear : public Module {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   [[nodiscard]] LayerCost cost(const Shape& in_shape) const override;
   [[nodiscard]] std::string kind() const override { return "linear"; }
@@ -88,12 +89,21 @@ class Sequential : public Module {
   Tensor backward(const Tensor& grad_out) override {
     return backward_range(grad_out, 0, units_.size());
   }
+  void backward_params(const Tensor& grad_out) override {
+    backward_params_range(grad_out, 0, units_.size());
+  }
 
   /// Forward through units [begin, end).
   Tensor forward_range(const Tensor& x, size_t begin, size_t end, bool train);
 
   /// Backward through units [begin, end), applied in reverse order.
   Tensor backward_range(const Tensor& grad_out, size_t begin, size_t end);
+
+  /// backward_range for a caller that discards the gradient w.r.t. unit
+  /// `begin`'s input: units (begin, end) run backward(), unit `begin`
+  /// runs backward_params(). An empty range is a no-op.
+  void backward_params_range(const Tensor& grad_out, size_t begin,
+                             size_t end);
 
   void collect_parameters(std::vector<Parameter*>& out) override;
   void collect_state(std::vector<Tensor*>& out) override;

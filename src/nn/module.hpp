@@ -59,6 +59,16 @@ class Module {
   /// the input, accumulating parameter gradients.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
+  /// backward() for a caller that discards the input gradient: it
+  /// accumulates exactly the parameter gradients backward() would, bit
+  /// for bit, and leaves whatever backward() leaves cached. A unit may skip
+  /// the input-gradient work (Conv2d drops its dcol GEMM and col2im,
+  /// Linear its dX matmul). The default runs backward() and drops the
+  /// result, so every unit honours the contract without overriding.
+  virtual void backward_params(const Tensor& grad_out) {
+    (void)backward(grad_out);
+  }
+
   /// Append raw pointers to this unit's learnable parameters.
   virtual void collect_parameters(std::vector<Parameter*>& /*out*/) {}
 

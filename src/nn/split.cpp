@@ -51,6 +51,16 @@ SGD zeroed_sgd(std::vector<Parameter*> params, SGD::Options options,
   return SGD(std::move(params), options, std::move(velocity));
 }
 
+/// One unit of a reverse backward walk: `grad` becomes the gradient w.r.t.
+/// the unit's input, unless the unit is the `last` of the walk, whose input
+/// gradient nobody reads (the model input, or the detached cut).
+void unit_backward(Module& unit, Tensor& grad, bool last) {
+  if (last)
+    unit.backward_params(grad);
+  else
+    grad = unit.backward(grad);
+}
+
 Shape feature_shape_at(const Sequential& model, const Shape& in_shape,
                        size_t cut) {
   const auto costs = model.unit_costs(in_shape);
@@ -97,7 +107,7 @@ LocalLossSplitTrainer::StepStats LocalLossSplitTrainer::train_batch(
   const LossResult slow = softmax_cross_entropy(aux_logits, labels);
   stats.slow_loss = slow.loss;
   const Tensor dh = aux_->backward(slow.grad_logits);
-  (void)model_.backward_range(dh, 0, cut_);
+  model_.backward_params_range(dh, 0, cut_);
   slow_opt_.step();
 
   // Fast side: consumes h as a detached input (no gradient crosses the cut).
@@ -107,7 +117,7 @@ LocalLossSplitTrainer::StepStats LocalLossSplitTrainer::train_batch(
   const LossResult fast = softmax_cross_entropy(logits, labels);
   stats.fast_loss = fast.loss;
   stats.fast_accuracy = fast.accuracy;
-  (void)model_.backward_range(fast.grad_logits, cut_, model_.size());
+  model_.backward_params_range(fast.grad_logits, cut_, model_.size());
   fast_opt_.step();
 
   return stats;
@@ -138,7 +148,7 @@ LocalLossSplitTrainer::StepStats LocalLossSplitTrainer::train_batch_notify(
   slow_opt_.step_range(prefix_params, slow_opt_.size() - prefix_params);
   size_t param_end = prefix_params;
   for (size_t u = cut_; u-- > 0;) {
-    grad = model_.unit(u).backward(grad);
+    unit_backward(model_.unit(u), grad, /*last=*/u == 0);
     const size_t count = unit_param_counts[u];
     COMDML_CHECK(param_end >= count);
     param_end -= count;
@@ -158,7 +168,7 @@ LocalLossSplitTrainer::StepStats LocalLossSplitTrainer::train_batch_notify(
   grad = fast.grad_logits;
   param_end = fast_opt_.size();
   for (size_t u = model_.size(); u-- > cut_;) {
-    grad = model_.unit(u).backward(grad);
+    unit_backward(model_.unit(u), grad, /*last=*/u == cut_);
     const size_t count = unit_param_counts[u];
     COMDML_CHECK(param_end >= count);
     param_end -= count;
@@ -179,7 +189,7 @@ LossResult train_batch_full(Sequential& model, SGD& opt, const Tensor& x,
   opt.zero_grad();
   const Tensor logits = model.forward(x, /*train=*/true);
   LossResult res = softmax_cross_entropy(logits, labels);
-  (void)model.backward(res.grad_logits);
+  model.backward_params(res.grad_logits);
   opt.step();
   return res;
 }
@@ -199,7 +209,7 @@ LossResult train_batch_full_notify(Sequential& model, SGD& opt,
   size_t param_end = opt.size();
   Tensor grad = res.grad_logits;
   for (size_t u = model.size(); u-- > 0;) {
-    grad = model.unit(u).backward(grad);
+    unit_backward(model.unit(u), grad, /*last=*/u == 0);
     const size_t count = unit_param_counts[u];
     COMDML_CHECK(param_end >= count);
     param_end -= count;

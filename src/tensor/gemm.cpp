@@ -208,11 +208,19 @@ void pack_b(const float* b, int64_t rs, int64_t cs, int64_t p0, int64_t j0,
   for (int64_t qc = 0; qc < nc; qc += kNR) {
     const int64_t cols = std::min(kNR, nc - qc);
     const float* base = b + p0 * rs + (j0 + qc) * cs;
-    if (cs == 1) {
+    // Full panels copy a compile-time-sized row (a couple of vector
+    // moves). A libc memcpy call of runtime length per row cost more than
+    // the micro-kernel itself on narrow GEMMs such as the conv dW.
+    if (cs == 1 && cols == kNR) {
+      for (int64_t kk = 0; kk < kc; ++kk)
+        std::memcpy(dst + kk * kNR, base + kk * rs, kNR * sizeof(float));
+    } else if (cs == 1) {
       for (int64_t kk = 0; kk < kc; ++kk) {
-        std::memcpy(dst + kk * kNR, base + kk * rs,
-                    static_cast<size_t>(cols) * sizeof(float));
-        for (int64_t j = cols; j < kNR; ++j) dst[kk * kNR + j] = 0.0f;
+        float* d = dst + kk * kNR;
+        const float* src = base + kk * rs;
+        int64_t j = 0;
+        for (; j < cols; ++j) d[j] = src[j];
+        for (; j < kNR; ++j) d[j] = 0.0f;
       }
     } else {
       for (int64_t kk = 0; kk < kc; ++kk) {

@@ -107,5 +107,31 @@ TEST(Compress, CorruptStreamRejected) {
   EXPECT_THROW((void)decompress_activations(c), std::invalid_argument);
 }
 
+TEST(Compress, RatioMatchesEncodedWireBytes) {
+  // compression_ratio counts what compress_activations would emit without
+  // building it; both must agree to the last byte on every input class.
+  Rng rng(6);
+  std::vector<Tensor> inputs;
+  for (const int64_t n : {1, 7, 8, 9, 1000, 4099})
+    inputs.push_back(rng.normal_tensor({n}, 0, 1));  // mixed signs
+  inputs.push_back(rng.normal_tensor({3, 5, 7}, 0, 1));
+  Tensor negative = rng.uniform_tensor({2, 4, 8, 8}, -3.0f, -0.1f);
+  inputs.push_back(negative);  // nothing present, scale falls back to 1
+  // Sub-resolution: one large value makes every other positive round to
+  // level 0, so the positive count overstates the value stream.
+  Tensor sub = rng.uniform_tensor({4, 16, 8, 8}, 0.0f, 1e-3f);
+  sub[5] = 1000.0f;
+  inputs.push_back(sub);
+  for (const Tensor& t : inputs) {
+    const double expected =
+        static_cast<double>(t.nbytes()) /
+        static_cast<double>(compress_activations(t).wire_bytes());
+    EXPECT_EQ(compression_ratio(t), expected)
+        << tensor::shape_str(t.shape());
+  }
+  EXPECT_EQ(compress_activations(sub).values.size(), 1u);
+  EXPECT_TRUE(compress_activations(negative).values.empty());
+}
+
 }  // namespace
 }  // namespace comdml::comm

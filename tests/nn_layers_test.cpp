@@ -2,6 +2,11 @@
 // descriptors, and state collection.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+
+#include "core/parallel.hpp"
 #include "nn/conv.hpp"
 #include "nn/layers.hpp"
 #include "nn/norm.hpp"
@@ -12,8 +17,10 @@ namespace comdml::nn {
 namespace {
 
 using comdml::testing::away_from_zero;
+using comdml::testing::grads_of;
 using comdml::testing::input_grad_error;
 using comdml::testing::param_grad_error;
+using comdml::testing::same_bits;
 
 constexpr double kGradTol = 5e-2;
 
@@ -106,6 +113,37 @@ TEST(ReLU, InputGradientMatchesNumeric) {
 TEST(ReLU, HasNoParameters) {
   ReLU relu;
   EXPECT_TRUE(relu.parameters().empty());
+}
+
+TEST(ReLU, BitMaskSelectMatchesBranchyDefinition) {
+  // The forward pass selects by bit mask; it must reproduce, bit for bit,
+  // y = x > 0 ? x : 0 and the 1/0 mask of the old branchy loop on every
+  // class of float, including NaNs with sign and payload.
+  const float qnan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float den = std::numeric_limits<float>::denorm_min();
+  const float fmin = std::numeric_limits<float>::min();
+  const float fmax = std::numeric_limits<float>::max();
+  const std::vector<float> xs = {
+      qnan, -qnan, std::bit_cast<float>(uint32_t{0x7fa00001}),
+      std::bit_cast<float>(uint32_t{0xffc00123}), 0.0f, -0.0f, inf, -inf,
+      den, -den, fmin / 4, -fmin / 4, fmin, -fmin, 1.5f, -1.5f, fmax, -fmax};
+  const auto n = static_cast<int64_t>(xs.size());
+  Tensor g({n});
+  for (int64_t i = 0; i < n; ++i) g[i] = i % 2 == 0 ? -2.5f : 0.75f;
+
+  ReLU relu;
+  const Tensor y = relu.forward(Tensor({n}, xs), true);
+  const Tensor dx = relu.backward(g);
+  Tensor y_old({n});
+  Tensor dx_old({n});
+  for (int64_t i = 0; i < n; ++i) {
+    const float x = xs[static_cast<size_t>(i)];
+    y_old[i] = x > 0.0f ? x : 0.0f;
+    dx_old[i] = g[i] * (x > 0.0f ? 1.0f : 0.0f);
+  }
+  EXPECT_TRUE(same_bits(y, y_old));
+  EXPECT_TRUE(same_bits(dx, dx_old));
 }
 
 // ---- Flatten / GlobalAvgPool ------------------------------------------------
@@ -394,6 +432,90 @@ TEST(StateHelpers, ParameterCountMlp) {
   Rng rng(34);
   auto net = mlp({4, 6, 3}, rng);
   EXPECT_EQ(nn::parameter_count(*net), 4 * 6 + 6 + 6 * 3 + 3);
+}
+
+
+// ---- backward_params ---------------------------------------------------------
+
+/// Runs forward + backward() and then forward + backward_params() from the
+/// same non-zero starting gradients (both accumulate) and expects
+/// byte-equal parameter gradients.
+void expect_backward_params_matches(Module& m, const Tensor& x,
+                                    const Tensor& g) {
+  Rng rng(99);
+  const std::vector<Parameter*> params = m.parameters();
+  ASSERT_FALSE(params.empty());
+  for (Parameter* p : params) p->grad = rng.normal_tensor(p->grad.shape(), 0, 1);
+  const std::vector<Tensor> start = grads_of(m);
+
+  (void)m.forward(x, true);
+  (void)m.backward(g);
+  const std::vector<Tensor> want = grads_of(m);
+
+  for (size_t i = 0; i < params.size(); ++i) params[i]->grad = start[i];
+  (void)m.forward(x, true);
+  m.backward_params(g);
+  const std::vector<Tensor> got = grads_of(m);
+  for (size_t i = 0; i < want.size(); ++i)
+    EXPECT_TRUE(same_bits(got[i], want[i]))
+        << m.kind() << " parameter " << params[i]->name;
+}
+
+TEST(BackwardParams, ConvMatchesBackwardOnBothForwardPaths) {
+  // 4 samples: at 1 thread the forward takes the per-sample loop
+  // (n >= threads), at 8 threads the batched GEMM (n < threads).
+  struct Restore {
+    ~Restore() { core::set_num_threads(0); }
+  } restore;
+  Rng rng(40);
+  Conv2d conv(3, 5, 3, 2, 1, rng);
+  const Tensor x = rng.normal_tensor({4, 3, 9, 9}, 0, 1);
+  const Tensor g = rng.normal_tensor({4, 5, 5, 5}, 0, 1);
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE(threads);
+    core::set_num_threads(threads);
+    expect_backward_params_matches(conv, x, g);
+  }
+}
+
+TEST(BackwardParams, LinearMatchesBackward) {
+  Rng rng(41);
+  Linear fc(6, 4, rng);
+  expect_backward_params_matches(fc, rng.normal_tensor({3, 6}, 0, 1),
+                                 rng.normal_tensor({3, 4}, 0, 1));
+}
+
+TEST(BackwardParams, SequentialMatchesBackward) {
+  Rng rng(43);
+  auto cnn = small_cnn(3, 10, rng);
+  expect_backward_params_matches(*cnn, rng.normal_tensor({3, 3, 8, 8}, 0, 1),
+                                 rng.normal_tensor({3, 10}, 0, 1));
+  auto net = mlp({5, 7, 3}, rng);
+  expect_backward_params_matches(*net, rng.normal_tensor({2, 5}, 0, 1),
+                                 rng.normal_tensor({2, 3}, 0, 1));
+}
+
+TEST(BackwardParams, RangeLeavesUnitsBeforeItUntouched) {
+  // backward_params_range(g, 1, end) matches backward_range(g, 1, end)
+  // on units [1, end) and, like it, never reaches unit 0.
+  Rng rng(44);
+  auto net = small_cnn(3, 10, rng);
+  const Tensor x = rng.normal_tensor({3, 3, 8, 8}, 0, 1);
+  const Tensor g = rng.normal_tensor({3, 10}, 0, 1);
+  const Tensor h = net->forward_range(x, 0, 1, true);
+  (void)net->forward_range(h, 1, net->size(), true);
+  net->zero_grad();
+  (void)net->backward_range(g, 1, net->size());
+  const std::vector<Tensor> want = grads_of(*net);
+  net->zero_grad();
+  net->backward_params_range(g, 1, net->size());
+  const std::vector<Tensor> got = grads_of(*net);
+  for (size_t i = 0; i < want.size(); ++i)
+    EXPECT_TRUE(same_bits(got[i], want[i])) << "parameter " << i;
+  for (Parameter* p : net->unit(0).parameters())
+    EXPECT_EQ(p->grad, Tensor(p->grad.shape()));
+  net->backward_params_range(g, 2, 2);  // empty range: no-op
+  EXPECT_THROW(net->backward_params_range(g, 2, 1), std::invalid_argument);
 }
 
 }  // namespace

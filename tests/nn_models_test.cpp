@@ -2,10 +2,14 @@
 // learning on toy datasets, split training, and architecture specs.
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "core/parallel.hpp"
 #include "data/synthetic.hpp"
 #include "nn/arch_specs.hpp"
 #include "nn/loss.hpp"
 #include "nn/split.hpp"
+#include "test_util.hpp"
 
 namespace comdml::nn {
 namespace {
@@ -302,6 +306,152 @@ TEST(SplitTraining, SplitCnnLearns) {
   for (int epoch = 0; epoch < 40; ++epoch)
     (void)split.train_batch(ds.images, ds.labels);
   EXPECT_GT(evaluate_accuracy(*net, ds.images, ds.labels), 0.85f);
+}
+
+// ---- training steps that skip dropped input gradients ------------------------
+//
+// train_batch_full* and the split trainer route the unit whose input
+// gradient nobody reads through Module::backward_params(). These tests pin
+// them to hand-written reference steps that call backward() everywhere, bit
+// for bit, over 5 steps at 1 and 4 threads.
+
+struct StepCase {
+  const char* name;
+  std::function<std::unique_ptr<Sequential>(Rng&)> make;
+  Shape in_shape;  // per sample
+  size_t cut;
+};
+
+std::vector<StepCase> step_cases() {
+  // Cuts put a conv stack, a BasicBlock (default backward_params) and a
+  // Linear first on the fast side. Batches of 3 take the batched conv
+  // forward at 4 threads and the per-sample loop at 1.
+  return {
+      {"small_cnn", [](Rng& r) { return small_cnn(3, 4, r); }, {3, 8, 8}, 1},
+      {"tiny_resnet", [](Rng& r) { return tiny_resnet(4, r); }, {3, 8, 8},
+       2},
+      {"mlp", [](Rng& r) { return mlp({6, 10, 8, 4}, r); }, {6}, 1},
+  };
+}
+
+constexpr SGD::Options kStepSgd{0.05f, 0.9f, 1e-4f};
+constexpr int kSteps = 5;
+
+struct StepData {
+  Tensor x;
+  std::vector<int64_t> labels;
+};
+
+StepData step_data(const StepCase& c) {
+  Rng rng(50);
+  Shape shape = c.in_shape;
+  shape.insert(shape.begin(), 3);
+  return {rng.normal_tensor(shape, 0, 1), {0, 3, 1}};
+}
+
+std::vector<size_t> unit_param_counts(Sequential& model) {
+  std::vector<size_t> out;
+  for (size_t u = 0; u < model.size(); ++u)
+    out.push_back(model.unit(u).parameters().size());
+  return out;
+}
+
+bool same_states(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i)
+    if (!comdml::testing::same_bits(a[i], b[i])) return false;
+  return true;
+}
+
+struct ThreadRestore {
+  ~ThreadRestore() { core::set_num_threads(0); }
+};
+
+/// Final state of a full-model run: `mode` 0 is the reference loop that
+/// computes every input gradient, 1 train_batch_full, 2 its notify twin.
+std::vector<Tensor> run_full(const StepCase& c, int mode) {
+  Rng rng(51);
+  auto model = c.make(rng);
+  SGD opt(model->parameters(), kStepSgd);
+  const StepData d = step_data(c);
+  const std::vector<size_t> counts = unit_param_counts(*model);
+  for (int s = 0; s < kSteps; ++s) {
+    if (mode == 0) {
+      opt.zero_grad();
+      const LossResult res =
+          softmax_cross_entropy(model->forward(d.x, true), d.labels);
+      (void)model->backward(res.grad_logits);
+      opt.step();
+    } else if (mode == 1) {
+      (void)train_batch_full(*model, opt, d.x, d.labels);
+    } else {
+      (void)train_batch_full_notify(*model, opt, d.x, d.labels, counts,
+                                    nullptr);
+    }
+  }
+  return state_of(*model);
+}
+
+/// Final state (model, then aux head) of a split run: `mode` 0 is the
+/// reference loop, 1 train_batch, 2 train_batch_notify.
+std::vector<Tensor> run_split(const StepCase& c, int mode) {
+  Rng rng(52);
+  auto model = c.make(rng);
+  LocalLossSplitTrainer split(*model, c.cut, c.in_shape, 4, rng, kStepSgd);
+  const StepData d = step_data(c);
+  const std::vector<size_t> counts = unit_param_counts(*model);
+  const size_t end = model->size();
+  for (int s = 0; s < kSteps; ++s) {
+    if (mode == 0) {
+      split.slow_optimizer().zero_grad();
+      const Tensor h = model->forward_range(d.x, 0, c.cut, true);
+      const LossResult slow = softmax_cross_entropy(
+          split.aux_head().forward(h, true), d.labels);
+      (void)model->backward_range(split.aux_head().backward(slow.grad_logits),
+                                  0, c.cut);
+      split.slow_optimizer().step();
+      split.fast_optimizer().zero_grad();
+      const LossResult fast = softmax_cross_entropy(
+          model->forward_range(h, c.cut, end, true), d.labels);
+      (void)model->backward_range(fast.grad_logits, c.cut, end);
+      split.fast_optimizer().step();
+    } else if (mode == 1) {
+      (void)split.train_batch(d.x, d.labels);
+    } else {
+      (void)split.train_batch_notify(d.x, d.labels, counts, nullptr);
+    }
+  }
+  std::vector<Tensor> out = state_of(*model);
+  for (Tensor& t : state_of(split.aux_head())) out.push_back(std::move(t));
+  return out;
+}
+
+TEST(BackwardParamsSteps, FullStepsMatchReferenceAtAnyThreadCount) {
+  ThreadRestore restore;
+  for (const StepCase& c : step_cases()) {
+    core::set_num_threads(1);
+    const std::vector<Tensor> want = run_full(c, 0);
+    for (const int threads : {1, 4}) {
+      core::set_num_threads(threads);
+      for (const int mode : {0, 1, 2})
+        EXPECT_TRUE(same_states(run_full(c, mode), want))
+            << c.name << " mode " << mode << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST(BackwardParamsSteps, SplitStepsMatchReferenceAtAnyThreadCount) {
+  ThreadRestore restore;
+  for (const StepCase& c : step_cases()) {
+    core::set_num_threads(1);
+    const std::vector<Tensor> want = run_split(c, 0);
+    for (const int threads : {1, 4}) {
+      core::set_num_threads(threads);
+      for (const int mode : {0, 1, 2})
+        EXPECT_TRUE(same_states(run_split(c, mode), want))
+            << c.name << " mode " << mode << " at " << threads << " threads";
+    }
+  }
 }
 
 // ---- architecture specs ----------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
 #include "nn/conv.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 
 namespace comdml {
@@ -215,6 +217,10 @@ const ConvCase kConvCases[] = {
     {8, 4, 6, 10, 10, 3, 1, 1},
     {6, 2, 3, 9, 7, 3, 2, 1},
     {16, 3, 5, 6, 6, 3, 1, 0},
+    // im2col/col2im border split: a kernel wider than the unpadded input
+    // (no interior column) and a stride that skips past the right pad.
+    {2, 2, 3, 3, 3, 5, 1, 1},
+    {3, 2, 3, 10, 11, 3, 3, 2},
 };
 
 TEST(KernelParity, ConvForwardMatchesReferenceAcrossThreads) {
@@ -300,6 +306,63 @@ TEST(KernelParity, ConvBatchedGemmBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(y1, y8);
   EXPECT_EQ(dx1, dx8);
   EXPECT_EQ(dw1, params[0]->grad);
+}
+
+TEST(KernelParity, ConvWeightGradIsOneStackedReductionChain) {
+  // Conv2d accumulates dW with one GEMM per sample, in sample order. Each
+  // dW element must run the very chain of a single reduction GEMM over all
+  // samples, dW += Gt^T @ col with Gt [N*ho*wo, cout] and col
+  // [N*ho*wo, cin*k*k] stacked — bit for bit, on whichever micro-kernel
+  // this build selected, at every thread count.
+  ThreadCountGuard guard;
+  const int64_t n = 5, cin = 3, cout = 7, h = 9, w = 8, k = 3, s = 2, p = 1;
+  const int64_t ho = (h + 2 * p - k) / s + 1, wo = (w + 2 * p - k) / s + 1;
+  const int64_t how = ho * wo, ckk = cin * k * k;
+  Rng rng(24);
+  nn::Conv2d conv(cin, cout, k, s, p, rng);
+  const Tensor x = rng.normal_tensor({n, cin, h, w}, 0, 1);
+  const Tensor g = rng.normal_tensor({n, cout, ho, wo}, 0, 1);
+  const Tensor start = rng.normal_tensor({cout, cin, k, k}, 0, 1);
+
+  std::vector<float> col(static_cast<size_t>(n * how * ckk), 0.0f);
+  std::vector<float> gt(static_cast<size_t>(n * how * cout));
+  for (int64_t in = 0; in < n; ++in)
+    for (int64_t oy = 0; oy < ho; ++oy)
+      for (int64_t ox = 0; ox < wo; ++ox) {
+        const int64_t r = (in * ho + oy) * wo + ox;
+        for (int64_t co = 0; co < cout; ++co)
+          gt[static_cast<size_t>(r * cout + co)] =
+              g.at({in, co, oy, ox});
+        for (int64_t ci = 0; ci < cin; ++ci)
+          for (int64_t ky = 0; ky < k; ++ky)
+            for (int64_t kx = 0; kx < k; ++kx) {
+              const int64_t iy = oy * s - p + ky, ix = ox * s - p + kx;
+              if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
+              col[static_cast<size_t>(r * ckk + (ci * k + ky) * k + kx)] =
+                  x.at({in, ci, iy, ix});
+            }
+      }
+  Tensor want = start;
+  tensor::gemm_tn(gt.data(), col.data(), want.flat().data(), cout, n * how,
+                  ckk, /*accumulate=*/true);
+
+  std::vector<nn::Parameter*> params;
+  conv.collect_parameters(params);
+  for (const int t : kThreadCounts) {
+    set_num_threads(t);
+    for (const bool input_grad : {true, false}) {
+      params[0]->grad = start;
+      (void)conv.forward(x, true);
+      if (input_grad)
+        (void)conv.backward(g);
+      else
+        conv.backward_params(g);
+      EXPECT_EQ(std::memcmp(params[0]->grad.flat().data(), want.flat().data(),
+                            want.nbytes()),
+                0)
+          << tensor::gemm_kernel_name() << " at " << t << " threads";
+    }
+  }
 }
 
 // ---- fused elementwise -----------------------------------------------------

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "nn/module.hpp"
 
@@ -70,6 +72,21 @@ inline double param_grad_error(Module& m, const Tensor& x, const Tensor& g,
     }
   }
   return worst;
+}
+
+/// True when a and b have the same shape and the same bytes (so NaN
+/// payloads and the sign of zero count, unlike operator==).
+inline bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.flat().data(), b.flat().data(),
+                     a.flat().size_bytes()) == 0;
+}
+
+/// Deep copy of every parameter gradient of `m`, in collection order.
+inline std::vector<Tensor> grads_of(Module& m) {
+  std::vector<Tensor> out;
+  for (nn::Parameter* p : m.parameters()) out.push_back(p->grad);
+  return out;
 }
 
 /// Random tensor whose entries stay away from ReLU's kink at zero.
