@@ -25,22 +25,27 @@ int main() {
     std::printf("%8s %18s %14s %18s\n", "agents", "halving/doubling",
                 "ring", "param server");
     for (const int64_t k : {4, 8, 16, 32, 64, 128}) {
-      const auto hd = comm::allreduce_cost(
-          k, model.bytes, bw, comm::AllReduceAlgo::kHalvingDoubling);
-      const auto ring = comm::allreduce_cost(k, model.bytes, bw,
-                                             comm::AllReduceAlgo::kRing);
-      // Parameter server: every agent moves 2*b through a shared server.
+      // Parameter server: every agent moves 2*b through a shared server
+      // (an upload step, then a download step).
       std::vector<sim::ResourceProfile> profiles(
           static_cast<size_t>(k), sim::ResourceProfile{1.0, bw});
       std::vector<int64_t> sel(static_cast<size_t>(k));
       for (int64_t i = 0; i < k; ++i) sel[static_cast<size_t>(i)] = i;
-      const auto ps =
-          comm::server_round_times(profiles, sel, model.bytes, {});
-      const double ps_worst = *std::max_element(ps.begin(), ps.end());
+      comm::SimTransport hd(comm::LinkGrid::uniform(k, bw));
+      comm::SimTransport ring(comm::LinkGrid::uniform(k, bw));
+      comm::SimTransport ps(baselines::param_server_grid(
+          profiles, sel, FleetOptions::paper_defaults().comms.server_mbps));
+      comm::CollectiveRequest req;
+      req.elems = comm::fp32_wire_elems(model.bytes);
+      (void)comm::collective(comm::Protocol::kHalvingDoublingAllReduce)
+          .run(hd, req);
+      (void)comm::collective(comm::Protocol::kRingAllReduce).run(ring, req);
+      (void)comm::collective(comm::Protocol::kParamServer).run(ps, req);
+      const double hd_s = hd.stats().seconds;
+      const double ring_s = ring.stats().seconds;
       std::printf("%8lld %17.2fs %13.2fs %17.2fs\n",
-                  static_cast<long long>(k), hd.seconds, ring.seconds,
-                  ps_worst);
-      if (k >= 32 && hd.seconds > ring.seconds) hd_wins_at_scale = false;
+                  static_cast<long long>(k), hd_s, ring_s, ps.stats().seconds);
+      if (k >= 32 && hd_s > ring_s) hd_wins_at_scale = false;
     }
   }
   std::printf(

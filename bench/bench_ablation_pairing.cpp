@@ -39,9 +39,9 @@ int main() {
       auto topo = make_topology(s, rng);
       auto sizes = core::shard_sizes_for(dataset_spec("cifar10"), 10,
                                          PartitionKind::kIID, rng);
-      auto cfg = make_config(s);
-      cfg.max_split_points = 12;  // keep the exact solver tractable
-      core::SimulatedFleet fleet(spec, cfg, std::move(topo),
+      auto opts = make_options(s);
+      opts.scale.max_split_points = 12;  // keep the exact solver tractable
+      core::SimulatedFleet fleet(spec, opts, std::move(topo),
                                  std::move(sizes), variants[v].scheduler);
       total += fleet.step().round_time;
     }

@@ -11,9 +11,9 @@ int main() {
                "ICDCS'24 ComDML, Fig. 1");
 
   const auto spec = nn::resnet56_spec();
-  core::FleetConfig ref_cfg;
   const auto profile = core::SplitProfile::from_spec(
-      spec, 0, ref_cfg.activation_compression);
+      spec, 0,
+      core::FleetOptions::paper_defaults().comms.activation_compression);
   const int64_t batch = 100;
 
   core::AgentInfo slow, fast;

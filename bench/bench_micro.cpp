@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "comm/allreduce.hpp"
 #include "comm/collective.hpp"
 #include "comm/compress.hpp"
 #include "core/execution.hpp"
@@ -149,7 +148,9 @@ void BM_AllReduceExec(benchmark::State& state) {
     base.push_back({rng.normal_tensor({64, 64}, 0, 1)});
   for (auto _ : state) {
     auto states = base;
-    benchmark::DoNotOptimize(comm::allreduce_average(states));
+    comm::InProcTransport t(comm::LinkGrid::uniform(agents, 100.0));
+    benchmark::DoNotOptimize(comm::run_on_states(
+        comm::Protocol::kHalvingDoublingAllReduce, t, states));
   }
 }
 BENCHMARK(BM_AllReduceExec)->Arg(4)->Arg(16)->Arg(64);
@@ -205,14 +206,13 @@ BENCHMARK(BM_DistanceCorrelation)->Arg(32)->Arg(128);
 
 void BM_SimulatedRound(benchmark::State& state) {
   const auto agents = state.range(0);
-  core::FleetConfig cfg;
-  cfg.agents = agents;
-  cfg.max_split_points = 16;
-  cfg.reshuffle_period = 0;
+  auto opts = core::FleetOptions::paper_defaults();
+  opts.scale.max_split_points = 16;
+  opts.scale.reshuffle_period = 0;
   Rng rng(7);
   auto topo = sim::Topology::full_mesh(sim::assign_profiles(agents, rng));
   std::vector<int64_t> sizes(static_cast<size_t>(agents), 5000);
-  core::SimulatedFleet fleet(nn::resnet56_spec(), cfg, std::move(topo),
+  core::SimulatedFleet fleet(nn::resnet56_spec(), opts, std::move(topo),
                              std::move(sizes));
   for (auto _ : state) benchmark::DoNotOptimize(fleet.step());
 }

@@ -37,9 +37,9 @@ int main() {
   print_header("Table I: 2-agent layer-offloading sweep",
                "ICDCS'24 ComDML, Table I");
   const auto spec = nn::resnet56_spec();
-  core::FleetConfig ref_cfg;  // for the activation-compression default
   const auto profile = core::SplitProfile::from_spec(
-      spec, 0, ref_cfg.activation_compression);
+      spec, 0,
+      core::FleetOptions::paper_defaults().comms.activation_compression);
   const int64_t batch = 100;
   const int64_t samples_each = 25000;  // CIFAR-10 split across 2 agents
 
@@ -61,8 +61,11 @@ int main() {
     fast.num_batches = samples_each / batch;
     fast.tau_solo = double(fast.num_batches) / fast.proc_speed;
 
-    const auto agg = comm::allreduce_cost(2, profile.model_state_bytes(),
-                                          st.mbps);
+    comm::SimTransport agg(comm::LinkGrid::uniform(2, st.mbps));
+    comm::CollectiveRequest agg_req;
+    agg_req.elems = comm::fp32_wire_elems(profile.model_state_bytes());
+    (void)comm::collective(comm::Protocol::kHalvingDoublingAllReduce)
+        .run(agg, agg_req);
 
     double best_total = 1e300;
     int best_offload = -1;
@@ -85,7 +88,7 @@ int main() {
         round_time = exec.pair_time;
         offload_frac = profile.offloaded_fraction(cut);
       }
-      round_time += agg.seconds;
+      round_time += agg.stats().seconds;
 
       // Rounds to 90% under the split-dependent learning rate.
       const auto curve = learncurve::AccuracyModel(

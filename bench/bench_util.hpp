@@ -14,7 +14,7 @@
 namespace comdml::bench {
 
 using baselines::BaselineFleet;
-using core::FleetConfig;
+using core::FleetOptions;
 using core::Scheduler;
 using core::SimulatedFleet;
 using learncurve::Method;
@@ -70,15 +70,14 @@ inline Topology make_topology(const Scenario& s, Rng& rng) {
   throw std::runtime_error("could not draw a connected random topology");
 }
 
-inline FleetConfig make_config(const Scenario& s) {
-  FleetConfig cfg;
-  cfg.agents = s.agents;
-  cfg.participation = s.participation;
-  cfg.reshuffle_period = 100;  // dynamic environment after round 100
-  cfg.reshuffle_fraction = 0.2;
-  cfg.max_split_points = kSplitPoints;
-  cfg.seed = s.seed;
-  return cfg;
+inline FleetOptions make_options(const Scenario& s) {
+  FleetOptions o = FleetOptions::paper_defaults();
+  o.scale.participation = s.participation;
+  o.scale.reshuffle_period = 100;  // dynamic environment after round 100
+  o.scale.reshuffle_fraction = 0.2;
+  o.scale.max_split_points = kSplitPoints;
+  o.seed = s.seed;
+  return o;
 }
 
 /// Wall-clock (simulated seconds) for `method` to reach the scenario's
@@ -110,11 +109,11 @@ inline double time_to_accuracy(Method method, const Scenario& s,
   const auto sim_rounds =
       std::min<int64_t>(horizon, static_cast<int64_t>(std::ceil(*rounds)));
   if (method == Method::kComDML) {
-    SimulatedFleet fleet(mspec, make_config(s), std::move(topology),
+    SimulatedFleet fleet(mspec, make_options(s), std::move(topology),
                          std::move(sizes), Scheduler::kComDML);
     return fleet.run(sim_rounds).time_for_rounds(*rounds);
   }
-  BaselineFleet fleet(method, mspec, make_config(s), std::move(topology),
+  BaselineFleet fleet(method, mspec, make_options(s), std::move(topology),
                       std::move(sizes));
   return fleet.run(sim_rounds).time_for_rounds(*rounds);
 }

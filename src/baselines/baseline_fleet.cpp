@@ -3,37 +3,55 @@
 #include <algorithm>
 #include <numeric>
 
-#include "comm/gossip.hpp"
 #include "comm/link.hpp"
 #include "sim/resources.hpp"
 
 namespace comdml::baselines {
 
+comm::LinkGrid param_server_grid(
+    const std::vector<sim::ResourceProfile>& profiles,
+    const std::vector<int64_t>& selected, double server_mbps,
+    double latency_sec) {
+  COMDML_CHECK(!selected.empty());
+  COMDML_CHECK(server_mbps > 0.0);
+  const double share = server_mbps / static_cast<double>(selected.size());
+  std::vector<double> rates(profiles.size(), 0.0);
+  for (const int64_t idx : selected) {
+    COMDML_CHECK(idx >= 0 && idx < static_cast<int64_t>(profiles.size()));
+    const auto& p = profiles[static_cast<size_t>(idx)];
+    COMDML_REQUIRE(p.connected(), "selected agent " << idx
+                                                    << " has no uplink");
+    rates[static_cast<size_t>(idx)] = std::min(p.mbps, share);
+  }
+  return comm::LinkGrid::star(rates, latency_sec);
+}
+
 BaselineFleet::BaselineFleet(Method method, const nn::ArchitectureSpec& spec,
-                             FleetConfig config, sim::Topology topology,
+                             FleetOptions options, sim::Topology topology,
                              std::vector<int64_t> shard_sizes)
     : method_(method),
-      config_(config),
+      options_(std::move(options)),
       topology_(std::move(topology)),
       shard_sizes_(std::move(shard_sizes)),
       flops_per_sample_(spec.total_flops()),
       model_bytes_(spec.total_param_bytes()),
-      rng_(config.seed) {
+      rng_(options_.seed) {
   COMDML_REQUIRE(method != Method::kComDML,
                  "use core::SimulatedFleet for ComDML itself");
-  COMDML_CHECK(config_.agents == topology_.agents());
-  COMDML_CHECK(static_cast<int64_t>(shard_sizes_.size()) == config_.agents);
+  options_.validate();
+  COMDML_CHECK(static_cast<int64_t>(shard_sizes_.size()) ==
+               topology_.agents());
 }
 
 std::vector<int64_t> BaselineFleet::sample_participants() {
-  std::vector<int64_t> all(static_cast<size_t>(config_.agents));
+  std::vector<int64_t> all(static_cast<size_t>(topology_.agents()));
   std::iota(all.begin(), all.end(), 0);
-  if (config_.participation >= 1.0) return all;
+  if (options_.scale.participation >= 1.0) return all;
   const auto want = std::max<int64_t>(
-      2, static_cast<int64_t>(config_.participation *
-                              static_cast<double>(config_.agents)));
+      2, static_cast<int64_t>(options_.scale.participation *
+                              static_cast<double>(topology_.agents())));
   rng_.shuffle(all);
-  all.resize(static_cast<size_t>(std::min(want, config_.agents)));
+  all.resize(static_cast<size_t>(std::min(want, topology_.agents())));
   std::sort(all.begin(), all.end());
   return all;
 }
@@ -42,7 +60,7 @@ std::vector<double> BaselineFleet::solo_times(
     const std::vector<int64_t>& participants) const {
   const double overhead =
       (method_ == Method::kFedProx ? kFedProxComputeOverhead : 1.0) *
-      learncurve::privacy_compute_overhead(config_.privacy);
+      learncurve::privacy_compute_overhead(options_.privacy.technique);
   std::vector<double> times;
   times.reserve(participants.size());
   for (const int64_t id : participants) {
@@ -56,10 +74,10 @@ std::vector<double> BaselineFleet::solo_times(
 }
 
 RoundRecord BaselineFleet::step() {
-  if (config_.reshuffle_period > 0 && round_ > 0 &&
-      round_ % config_.reshuffle_period == 0) {
+  if (options_.scale.reshuffle_period > 0 && round_ > 0 &&
+      round_ % options_.scale.reshuffle_period == 0) {
     auto profiles = topology_.profiles();
-    sim::reshuffle_profiles(profiles, config_.reshuffle_fraction, rng_);
+    sim::reshuffle_profiles(profiles, options_.scale.reshuffle_fraction, rng_);
     topology_.set_profiles(std::move(profiles));
   }
 
@@ -75,14 +93,21 @@ RoundRecord BaselineFleet::step() {
   switch (method_) {
     case Method::kFedAvg:
     case Method::kFedProx: {
-      comm::ParamServerConfig ps_cfg;
-      ps_cfg.server_mbps = config_.server_mbps;
-      ps_cfg.latency_sec = config_.latency_sec;
-      const auto comm_times = comm::server_round_times(
-          topology_.profiles(), participants, model_bytes_, ps_cfg);
+      comm::SimTransport transport(param_server_grid(
+          topology_.profiles(), participants, options_.comms.server_mbps,
+          options_.comms.latency_sec));
+      comm::CollectiveRequest req;
+      req.elems = comm::fp32_wire_elems(model_bytes_);
+      req.participants = participants;
+      (void)comm::collective(comm::Protocol::kParamServer).run(transport, req);
+      // Each agent waits for its own download + upload.
+      const comm::TransportStats& st = transport.stats();
       double worst = 0.0;
-      for (size_t i = 0; i < participants.size(); ++i)
-        worst = std::max(worst, compute[i] + comm_times[i]);
+      for (size_t i = 0; i < participants.size(); ++i) {
+        const auto id = static_cast<size_t>(participants[i]);
+        worst = std::max(worst, compute[i] + (st.send_seconds[id] +
+                                              st.recv_seconds[id]));
+      }
       rec.aggregation_time = worst - slowest;
       rec.round_time = worst;
       break;
@@ -97,7 +122,7 @@ RoundRecord BaselineFleet::step() {
       // the same partners (the old two-draw version paired them
       // inconsistently).
       comm::SimTransport transport(
-          comm::LinkGrid::from_topology(topology_, config_.latency_sec));
+          comm::LinkGrid::from_topology(topology_, options_.comms.latency_sec));
       comm::CollectiveRequest req;
       req.elems = comm::fp32_wire_elems(model_bytes_);
       req.rng = &rng_;
@@ -147,7 +172,7 @@ RoundRecord BaselineFleet::step() {
             slowest_peer,
             comm::transfer_seconds(model_bytes_,
                                    topology_.profile(id).mbps,
-                                   config_.latency_sec));
+                                   options_.comms.latency_sec));
       }
       const double coord_drain =
           peers * static_cast<double>(model_bytes_) /
@@ -160,11 +185,14 @@ RoundRecord BaselineFleet::step() {
     case Method::kAllReduceDML: {
       const auto min_bw = topology_.min_link_bandwidth();
       COMDML_REQUIRE(min_bw.has_value(), "topology has no usable link");
-      const auto agg = comm::allreduce_cost(
-          static_cast<int64_t>(participants.size()), model_bytes_, *min_bw,
-          config_.aggregation, config_.latency_sec);
-      rec.aggregation_time = agg.seconds;
-      rec.round_time = slowest + agg.seconds;
+      comm::SimTransport transport(comm::LinkGrid::uniform(
+          static_cast<int64_t>(participants.size()), *min_bw,
+          options_.comms.latency_sec));
+      comm::CollectiveRequest req;
+      req.elems = comm::fp32_wire_elems(model_bytes_);
+      (void)comm::collective(options_.comms.aggregation).run(transport, req);
+      rec.aggregation_time = transport.stats().seconds;
+      rec.round_time = slowest + rec.aggregation_time;
       break;
     }
     case Method::kComDML:

@@ -4,12 +4,11 @@
 // (none of them balances workload); they differ in how updates move.
 #pragma once
 
-#include "comm/param_server.hpp"
 #include "core/trainer.hpp"
 
 namespace comdml::baselines {
 
-using core::FleetConfig;
+using core::FleetOptions;
 using core::RoundRecord;
 using core::RunSummary;
 using learncurve::Method;
@@ -17,7 +16,7 @@ using learncurve::Method;
 class BaselineFleet {
  public:
   BaselineFleet(Method method, const nn::ArchitectureSpec& spec,
-                FleetConfig config, sim::Topology topology,
+                FleetOptions options, sim::Topology topology,
                 std::vector<int64_t> shard_sizes);
 
   RoundRecord step();
@@ -28,7 +27,7 @@ class BaselineFleet {
 
  private:
   Method method_;
-  FleetConfig config_;
+  FleetOptions options_;
   sim::Topology topology_;
   std::vector<int64_t> shard_sizes_;
   double flops_per_sample_;
@@ -43,5 +42,16 @@ class BaselineFleet {
 
 /// Proximal-term compute overhead used for FedProx (extra gradient term).
 inline constexpr double kFedProxComputeOverhead = 1.05;
+
+/// Star grid for one parameter-server round (FedAvg / FedProx): endpoints
+/// 0..K-1 are the agents, endpoint K the server. Each selected agent's
+/// edge runs at min(link_i, server_mbps / #selected): the server's
+/// aggregate bandwidth is shared across concurrent transfers, which is the
+/// central-bottleneck effect the paper attributes to server-based FL
+/// (§V-B-2). Throws if a selected agent has no uplink.
+[[nodiscard]] comm::LinkGrid param_server_grid(
+    const std::vector<sim::ResourceProfile>& profiles,
+    const std::vector<int64_t>& selected, double server_mbps,
+    double latency_sec = comm::kDefaultLatencySec);
 
 }  // namespace comdml::baselines

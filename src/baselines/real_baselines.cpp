@@ -2,11 +2,9 @@
 
 #include <algorithm>
 
+#include "baselines/baseline_fleet.hpp"
 #include "comm/allreduce.hpp"
-#include "comm/gossip.hpp"
-#include "comm/param_server.hpp"
 #include "core/parallel.hpp"
-#include "core/workspace.hpp"
 
 namespace comdml::baselines {
 
@@ -14,7 +12,8 @@ RealBaselineFleet::RealBaselineFleet(learncurve::Method method,
                                      const core::ModelFactory& factory,
                                      int64_t classes,
                                      std::vector<data::Dataset> shards,
-                                     sim::Topology topology, Options options)
+                                     sim::Topology topology,
+                                     core::FleetOptions options)
     : method_(method),
       options_(options),
       shards_(std::move(shards)),
@@ -124,30 +123,16 @@ void RealBaselineFleet::aggregate(RoundStats& stats) {
         for (auto& m : models_) nn::load_state(*m, avg);
         break;
       }
-      std::vector<int64_t> selected(k);
       comm::CollectiveRequest req;
-      req.weights = weights;
+      req.weights = std::move(weights);
+      req.participants.resize(k);
       for (size_t i = 0; i < k; ++i)
-        selected[i] = static_cast<int64_t>(i);
-      comm::ParamServerConfig cfg;
-      cfg.server_mbps = options_.comms.server_mbps;
-      cfg.latency_sec = options_.comms.latency_sec;
-      comm::InProcTransport transport(
-          comm::param_server_grid(topology_.profiles(), selected, cfg));
-
-      const int64_t n = comm::state_elems(states[0]);
-      core::Scratch<double> slab(static_cast<int64_t>(k) * n);
-      req.elems = n;
-      req.participants = selected;
-      req.buffers.resize(k);
-      for (size_t i = 0; i < k; ++i) {
-        req.buffers[i] = slab.data() + static_cast<int64_t>(i) * n;
-        comm::flatten_state(states[i], req.buffers[i]);
-      }
-      (void)comm::collective(comm::Protocol::kParamServer)
-          .run(transport, req);
-      for (size_t i = 0; i < k; ++i)
-        comm::unflatten_state(req.buffers[i], states[i]);
+        req.participants[i] = static_cast<int64_t>(i);
+      comm::InProcTransport transport(param_server_grid(
+          topology_.profiles(), req.participants, options_.comms.server_mbps,
+          options_.comms.latency_sec));
+      (void)comm::run_on_states(comm::Protocol::kParamServer, transport,
+                                states, std::move(req));
       for (size_t i = 0; i < k; ++i) nn::load_state(*models_[i], states[i]);
       stats.aggregation_seconds = transport.stats().seconds;
       stats.aggregation_bytes = transport.stats().max_bytes_sent();
@@ -161,23 +146,35 @@ void RealBaselineFleet::aggregate(RoundStats& stats) {
     }
     case learncurve::Method::kAllReduceDML: {
       COMDML_CHECK(pipeline_ == nullptr);  // bucketed rounds skip aggregate()
-      const auto outcome = comm::allreduce_average_over(
-          states,
-          core::bottleneck_grid(topology_, options_.comms.latency_sec),
-          options_.comms.aggregation);
+      comm::InProcTransport transport(
+          core::bottleneck_grid(topology_, options_.comms.latency_sec));
+      (void)comm::run_on_states(options_.comms.aggregation, transport,
+                                states);
       for (size_t i = 0; i < k; ++i) nn::load_state(*models_[i], states[i]);
-      stats.aggregation_seconds = outcome.cost.seconds;
-      stats.aggregation_bytes = outcome.cost.bytes_per_agent;
+      stats.aggregation_seconds = transport.stats().seconds;
+      stats.aggregation_bytes = transport.stats().max_bytes_sent();
       break;
     }
     case learncurve::Method::kGossip: {
       const int64_t bytes =
           static_cast<int64_t>(nn::state_bytes(*models_[0]));
-      const auto times =
-          comm::gossip_exchange(states, topology_, bytes, rng_);
+      comm::InProcTransport transport(
+          comm::LinkGrid::from_topology(topology_));
+      comm::CollectiveRequest req;
+      req.rng = &rng_;
+      const comm::CollectiveReport rep = comm::run_on_states(
+          comm::Protocol::kGossip, transport, states, std::move(req));
       for (size_t i = 0; i < k; ++i) nn::load_state(*models_[i], states[i]);
-      for (const double t : times)
-        stats.aggregation_seconds = std::max(stats.aggregation_seconds, t);
+      // Each pushing agent is charged one full `bytes` model push over its
+      // chosen link (not the executed fp32 wire bytes).
+      for (size_t i = 0; i < k; ++i) {
+        if (!rep.partners[i]) continue;
+        stats.aggregation_seconds = std::max(
+            stats.aggregation_seconds,
+            comm::transfer_seconds(
+                bytes, topology_.bandwidth_mbps(static_cast<int64_t>(i),
+                                                *rep.partners[i])));
+      }
       stats.aggregation_bytes = bytes;
       break;
     }

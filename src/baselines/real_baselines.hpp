@@ -13,16 +13,12 @@ namespace comdml::baselines {
 
 class RealBaselineFleet {
  public:
-  /// Alias of the shared layered fleet options (the drifted local copy of
-  /// the SGD/batch/seed fields is gone): `train.prox_mu` holds the FedProx
-  /// proximal coefficient, `comms.server_mbps` the FedAvg/FedProx server
-  /// bandwidth.
-  using Options = core::FleetOptions;
-
+  /// `options.train.prox_mu` holds the FedProx proximal coefficient,
+  /// `options.comms.server_mbps` the FedAvg/FedProx server bandwidth.
   RealBaselineFleet(learncurve::Method method,
                     const core::ModelFactory& factory, int64_t classes,
                     std::vector<data::Dataset> shards,
-                    sim::Topology topology, Options options);
+                    sim::Topology topology, core::FleetOptions options);
 
   struct RoundStats {
     float mean_loss = 0.0f;
@@ -47,7 +43,7 @@ class RealBaselineFleet {
 
  private:
   learncurve::Method method_;
-  Options options_;
+  core::FleetOptions options_;
   std::vector<data::Dataset> shards_;
   sim::Topology topology_;
   tensor::Rng rng_;

@@ -1,73 +1,19 @@
-// Decentralized AllReduce (paper §IV-B).
+// Per-agent model-state layout for the aggregation collectives (§IV-B).
 //
-// Two bandwidth-optimal algorithms:
-//  - ring (Goyal et al. [34]):          2(K-1) steps, 2(K-1)/K * b bytes/agent
-//  - recursive halving/doubling [35]:   2 log2 K steps, 2(K-1)/K * b bytes/agent
-// The paper picks halving/doubling for large K because of its O(log K) step
-// count.
-//
-// Both algorithms live in comm/collective.hpp as transport-generic
-// protocols: the analytic cost (SimTransport) and the executed real
-// collective (InProcTransport) are literally the same schedule. The
-// functions here are the byte/tensor-level entry points fleets use —
-// `allreduce_cost` and `allreduce_average` keep their historical
-// signatures as thin wrappers over that substrate.
+// The protocols themselves (ring and recursive halving/doubling AllReduce,
+// gossip, the parameter-server round) live in comm/collective.hpp and move
+// fp64 buffers of fp32 wire elements. Fleets hold each agent's state as a
+// list of fp32 tensors; these helpers convert between the two layouts and
+// compute the traffic-free reference means.
 #pragma once
 
 #include <vector>
 
-#include "comm/collective.hpp"
-#include "comm/link.hpp"
 #include "tensor/tensor.hpp"
 
 namespace comdml::comm {
 
 using tensor::Tensor;
-
-enum class AllReduceAlgo { kRing, kHalvingDoubling };
-
-/// Collective-registry protocol implementing an AllReduce algorithm.
-[[nodiscard]] Protocol allreduce_protocol(AllReduceAlgo algo);
-
-/// Analytic cost of one AllReduce over K agents moving a `model_bytes`
-/// model with the slowest participating link at `bottleneck_mbps`
-/// (a SimTransport run of the real message schedule over a uniform grid).
-struct CollectiveCost {
-  double seconds = 0.0;
-  int64_t steps = 0;
-  int64_t bytes_per_agent = 0;  ///< max bytes any one agent sends
-};
-
-[[nodiscard]] CollectiveCost allreduce_cost(
-    int64_t agents, int64_t model_bytes, double bottleneck_mbps,
-    AllReduceAlgo algo = AllReduceAlgo::kHalvingDoubling,
-    double latency_sec = kDefaultLatencySec);
-
-/// Execution trace of a real collective (for validating the cost model).
-struct AllReduceTrace {
-  int64_t steps = 0;
-  std::vector<int64_t> bytes_sent;  ///< per agent
-};
-
-/// Executed collective plus its modeled clock, over an explicit link grid.
-struct AllReduceOutcome {
-  AllReduceTrace trace;
-  CollectiveCost cost;  ///< modeled seconds/steps/max-bytes of the same run
-};
-
-/// In-place averaging of per-agent state snapshots over an
-/// InProcTransport on `grid`, executed with the real message schedule of
-/// the chosen algorithm. All agents must hold structurally identical
-/// state lists.
-AllReduceOutcome allreduce_average_over(
-    std::vector<std::vector<Tensor>>& agent_states, const LinkGrid& grid,
-    AllReduceAlgo algo = AllReduceAlgo::kHalvingDoubling);
-
-/// Historical entry point: averaging over an implicit uniform 100 Mbps
-/// grid; returns only the traffic trace.
-AllReduceTrace allreduce_average(
-    std::vector<std::vector<Tensor>>& agent_states,
-    AllReduceAlgo algo = AllReduceAlgo::kHalvingDoubling);
 
 /// Plain arithmetic mean across agents (reference for tests; no traffic).
 [[nodiscard]] std::vector<Tensor> mean_state(

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "comm/allreduce.hpp"
 #include "comm/reliable.hpp"
 #include "core/workspace.hpp"
 
@@ -249,16 +250,28 @@ SteppedSchedule halving_doubling_schedule(int64_t k, int64_t elems) {
 
 constexpr Transport::SendOptions kBorrow{.borrow = true};
 
+/// Whether this process hosts endpoint `e`; a null mask owns every
+/// endpoint (the single-process drivers).
+bool owns(const std::vector<char>* owned, int64_t e) {
+  return owned == nullptr || (*owned)[static_cast<size_t>(e)] != 0;
+}
+
 /// Execute one schedule step: post every send, close the transport step,
 /// fold every delivered payload, then hand its buffer back to the
 /// transport. Sends borrow the sender's buffer (see check_borrow_safe).
 /// With a channel, sends park a view of the sender's span for retransmits
 /// (sound for the same reason, and every send is acked within its step)
 /// and receives retry through backoff — the schedule completes over
-/// lossy/corrupting links exactly as it would over clean ones.
+/// lossy/corrupting links exactly as it would over clean ones. With an
+/// `owned` mask only owned senders post and only owned receivers fold, but
+/// the transport step still closes even when this process posted nothing:
+/// the positional step history must line up across processes for the
+/// merged stats to reproduce the single-transport clock.
 void execute_schedule_step(Transport& t, const CollectiveRequest& req,
-                           const ScheduleStep& step, ReliableChannel* ch) {
+                           const ScheduleStep& step, ReliableChannel* ch,
+                           const std::vector<char>* owned = nullptr) {
   for (const ScheduleStep::Send& s : step.sends) {
+    if (!owns(owned, s.src)) continue;
     const double* data = buffer_of(req, s.src);
     const double* payload = data != nullptr ? data + s.span.begin : nullptr;
     if (ch != nullptr)
@@ -268,6 +281,7 @@ void execute_schedule_step(Transport& t, const CollectiveRequest& req,
   }
   t.end_step();
   for (const ScheduleStep::Recv& r : step.recvs) {
+    if (!owns(owned, r.dst)) continue;
     Message msg =
         ch != nullptr ? ch->recv(r.dst, r.src) : t.recv(r.dst, r.src);
     merge_segment(msg, buffer_of(req, r.dst), r.span, r.accumulate);
@@ -277,8 +291,10 @@ void execute_schedule_step(Transport& t, const CollectiveRequest& req,
 
 /// Sum -> mean after the last step, over the schedule's participants (all
 /// endpoints when unset). Survivor schedules divide by the live-set size.
+/// With an `owned` mask only owned buffers are scaled.
 void finalize_mean(const CollectiveRequest& req, const SteppedSchedule& sched,
-                   int64_t endpoints) {
+                   int64_t endpoints,
+                   const std::vector<char>* owned = nullptr) {
   if (req.buffers.empty()) return;
   const int64_t k = sched.participants.empty()
                         ? endpoints
@@ -286,6 +302,7 @@ void finalize_mean(const CollectiveRequest& req, const SteppedSchedule& sched,
   const double inv_k = 1.0 / static_cast<double>(k);
   const auto scale = [&](int64_t a) {
     double* mine = buffer_of(req, a);
+    if (!owns(owned, a) || mine == nullptr) return;
     for (int64_t i = 0; i < req.elems; ++i) mine[i] *= inv_k;
   };
   if (sched.participants.empty()) {
@@ -685,44 +702,10 @@ void execute_schedule_owned(const SteppedSchedule& sched, Transport& t,
                  "owned mask covers " << owned.size() << " endpoints, "
                                       << "transport has " << t.endpoints());
   check_borrow_safe(sched);
-  const auto is_owned = [&](int64_t e) {
-    return owned[static_cast<size_t>(e)] != 0;
-  };
-  for (const ScheduleStep& step : sched.steps) {
-    for (const ScheduleStep::Send& s : step.sends) {
-      if (!is_owned(s.src)) continue;
-      const double* data = buffer_of(req, s.src);
-      const double* payload =
-          data != nullptr ? data + s.span.begin : nullptr;
-      t.send(s.src, s.dst, s.span.size(), payload, kBorrow);
-    }
-    // Close the step even when this process posted nothing: the positional
-    // step history must line up across processes for the merged stats to
-    // reproduce the single-transport clock.
-    t.end_step();
-    for (const ScheduleStep::Recv& r : step.recvs) {
-      if (!is_owned(r.dst)) continue;
-      Message msg = t.recv(r.dst, r.src);
-      merge_segment(msg, buffer_of(req, r.dst), r.span, r.accumulate);
-      t.recycle(std::move(msg));
-    }
-  }
-  if (!sched.scale_to_mean || req.buffers.empty()) return;
-  const int64_t k = sched.participants.empty()
-                        ? t.endpoints()
-                        : static_cast<int64_t>(sched.participants.size());
-  const double inv_k = 1.0 / static_cast<double>(k);
-  const auto scale = [&](int64_t a) {
-    if (!is_owned(a)) return;
-    double* mine = buffer_of(req, a);
-    if (mine == nullptr) return;
-    for (int64_t i = 0; i < req.elems; ++i) mine[i] *= inv_k;
-  };
-  if (sched.participants.empty()) {
-    for (int64_t a = 0; a < t.endpoints(); ++a) scale(a);
-  } else {
-    for (const int64_t a : sched.participants) scale(a);
-  }
+  for (const ScheduleStep& step : sched.steps)
+    execute_schedule_step(t, req, step, /*ch=*/nullptr, &owned);
+  if (sched.scale_to_mean)
+    finalize_mean(req, sched, t.endpoints(), &owned);
 }
 
 AsyncCollective::AsyncCollective(Protocol protocol, Transport& transport,
@@ -730,13 +713,6 @@ AsyncCollective::AsyncCollective(Protocol protocol, Transport& transport,
     : transport_(&transport),
       request_(std::move(request)),
       schedule_(&owned_) {
-  if (protocol == Protocol::kGossip || protocol == Protocol::kParamServer) {
-    // No stepped schedule: the whole (recoverable, reliable) blocking
-    // protocol runs inside one poll(). Validation happens there — the
-    // param-server star has one fewer agent buffer than endpoints.
-    one_shot_ = protocol;
-    return;
-  }
   owned_ = allreduce_schedule(protocol, transport.endpoints(), request_.elems);
   validate_buffers(request_, transport.endpoints());
   if (schedule_->steps.empty()) finalized_ = true;  // k == 1: nothing to do
@@ -760,7 +736,6 @@ AsyncCollective::AsyncCollective(const SteppedSchedule& schedule,
 AsyncCollective::~AsyncCollective() = default;
 
 void AsyncCollective::enable_recovery(Protocol protocol) {
-  if (one_shot_.has_value()) return;  // recovery lives inside the protocol
   COMDML_REQUIRE(next_step_ == 0,
                  "enable_recovery() must precede the first poll()");
   recovery_ = true;
@@ -810,16 +785,6 @@ void AsyncCollective::recover() {
 }
 
 bool AsyncCollective::poll() {
-  if (one_shot_.has_value()) {
-    if (!one_shot_done_) {
-      const CollectiveReport rep =
-          collective(*one_shot_).run(*transport_, request_);
-      recoveries_ = rep.recoveries;
-      one_shot_done_ = true;
-      finalized_ = true;
-    }
-    return true;
-  }
   if (next_step_ < schedule_->steps.size()) {
     try {
       execute_schedule_step(*transport_, request_,
@@ -868,6 +833,35 @@ std::vector<std::string_view> collective_names() {
   names.reserve(kProtocols);
   for (const Collective* c : kRegistry) names.push_back(c->name());
   return names;
+}
+
+CollectiveReport run_on_states(Protocol protocol, Transport& transport,
+                               std::vector<std::vector<tensor::Tensor>>& states,
+                               CollectiveRequest req) {
+  const size_t k = states.size();
+  COMDML_CHECK(k > 0);
+  for (size_t a = 1; a < k; ++a) {
+    COMDML_REQUIRE(states[a].size() == states[0].size(),
+                   "agent " << a << " state arity differs");
+    for (size_t t = 0; t < states[0].size(); ++t)
+      COMDML_REQUIRE(states[a][t].shape() == states[0][t].shape(),
+                     "agent " << a << " state tensor " << t
+                              << " shape differs");
+  }
+  // One arena slab holds every agent's flattened double vector; the slab
+  // is released on return and its high-water backing is reused next round,
+  // so steady-state rounds do not touch the heap here.
+  const int64_t n = state_elems(states[0]);
+  core::Scratch<double> slab(static_cast<int64_t>(k) * n);
+  req.elems = n;
+  req.buffers.resize(k);
+  for (size_t a = 0; a < k; ++a) {
+    req.buffers[a] = slab.data() + static_cast<int64_t>(a) * n;
+    flatten_state(states[a], req.buffers[a]);
+  }
+  CollectiveReport rep = collective(protocol).run(transport, req);
+  for (size_t a = 0; a < k; ++a) unflatten_state(req.buffers[a], states[a]);
+  return rep;
 }
 
 }  // namespace comdml::comm

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "comm/transport.hpp"
+#include "tensor/tensor.hpp"
 
 namespace comdml::comm {
 
@@ -160,10 +161,9 @@ void execute_schedule_owned(const SteppedSchedule& sched, Transport& t,
 class AsyncCollective {
  public:
   /// `transport` and the request's buffers must outlive the operation.
-  /// kGossip and kParamServer have no stepped schedule (data-dependent
-  /// fan-in / star geometry); they run as one-shot operations whose single
-  /// poll() executes the whole (recoverable, reliable) protocol, so every
-  /// registered protocol drives through this one interface.
+  /// Throws std::invalid_argument for kGossip and kParamServer, which have
+  /// no stepped schedule (data-dependent fan-in / star geometry); run those
+  /// through collective(protocol).run().
   AsyncCollective(Protocol protocol, Transport& transport,
                   CollectiveRequest request);
   /// Borrow a prebuilt schedule (must outlive the operation and match the
@@ -180,7 +180,6 @@ class AsyncCollective {
   AsyncCollective& operator=(const AsyncCollective&) = delete;
 
   [[nodiscard]] bool done() const noexcept {
-    if (one_shot_.has_value()) return one_shot_done_;
     return next_step_ >= schedule_->steps.size();
   }
   /// Executes the next schedule step (and the final mean scaling after the
@@ -206,9 +205,7 @@ class AsyncCollective {
   /// stats (those bytes really crossed the wire). Repeated failures
   /// recover repeatedly; only the last survivor standing completes with
   /// its own contribution as the "mean". Throws only if every participant
-  /// is dead. For one-shot protocols (gossip, param_server) recovery is
-  /// implemented inside the protocol run itself and arms automatically
-  /// when the transport has endpoint faults; this call is then a no-op.
+  /// is dead.
   void enable_recovery(Protocol protocol);
 
   /// Completed recovery cycles (0 = the collective never saw a failure).
@@ -231,12 +228,8 @@ class AsyncCollective {
   SteppedSchedule owned_;  ///< empty when the schedule is borrowed
   const SteppedSchedule* schedule_;
   /// Reliable delivery for stepped traffic; created when the transport
-  /// injects message faults (one-shot protocols build their own).
+  /// injects message faults.
   std::unique_ptr<ReliableChannel> channel_;
-  /// Set for protocols without a stepped schedule (gossip, param_server):
-  /// one poll() runs the whole blocking protocol.
-  std::optional<Protocol> one_shot_;
-  bool one_shot_done_ = false;
   size_t next_step_ = 0;
   bool finalized_ = false;
   bool recovery_ = false;
@@ -256,5 +249,15 @@ class AsyncCollective {
 
 /// Registered protocol names, registry order.
 [[nodiscard]] std::vector<std::string_view> collective_names();
+
+/// Run `protocol` over per-agent tensor states: every agent's state is
+/// flattened into one fp64 slab, the registry collective runs over
+/// `transport` with `req` (whose elems and buffers are filled here), and
+/// the results are written back. All agents must hold structurally
+/// identical state lists.
+CollectiveReport run_on_states(
+    Protocol protocol, Transport& transport,
+    std::vector<std::vector<tensor::Tensor>>& states,
+    CollectiveRequest req = {});
 
 }  // namespace comdml::comm

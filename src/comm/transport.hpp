@@ -652,8 +652,8 @@ class Transport {
 };
 
 /// Analytic clock only: accounts every byte/step/second of the schedule,
-/// never moves data. This is the cost model that used to be scattered
-/// across `allreduce_cost`, `gossip_exchange_cost`, `server_round_times`.
+/// never moves data. Running a registry collective over it is the cost
+/// model of that protocol (see comm/collective.hpp).
 class SimTransport final : public Transport {
  public:
   using Transport::Transport;

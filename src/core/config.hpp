@@ -5,53 +5,17 @@
 #include <string>
 #include <vector>
 
-#include "comm/allreduce.hpp"
+#include "comm/collective.hpp"
 #include "learncurve/curves.hpp"
 #include "nn/optimizer.hpp"
 
 namespace comdml::core {
 
-/// Flat paper-scale simulation config (historical). New code should build
-/// fleets through core::FleetBuilder with the layered FleetOptions below;
-/// this struct survives as the internal currency of SimulatedFleet /
-/// BaselineFleet and for the benches that predate the facade.
-struct FleetConfig {
-  int64_t agents = 10;
-  int64_t batch_size = 100;  ///< paper: local batch size 100
-  /// Fraction of agents sampled each round (Table III uses 0.2).
-  double participation = 1.0;
-  /// Dynamic environment: re-draw this fraction of profiles every
-  /// `reshuffle_period` rounds (paper: 20 % after round 100).
-  double reshuffle_fraction = 0.2;
-  int64_t reshuffle_period = 100;  ///< 0 disables profile dynamics
-  /// Cap on the number of profiled split points (0 = every boundary).
-  size_t max_split_points = 0;
-  /// Wire compression applied to intermediate activations. The profiled
-  /// cuts sit after ReLU units, whose outputs are ~50 % zeros; 8-bit
-  /// quantization (Hubara et al. [36], cited by the paper as integrable)
-  /// combined with sparse encoding gives ~8x over raw float32. Model
-  /// parameters always travel uncompressed.
-  double activation_compression = 8.0;
-  comm::AllReduceAlgo aggregation = comm::AllReduceAlgo::kHalvingDoubling;
-  /// Aggregate server bandwidth for parameter-server methods (shared
-  /// across concurrent transfers) and the per-message link latency.
-  double server_mbps = 1000.0;
-  double latency_sec = comm::kDefaultLatencySec;
-  learncurve::PrivacyTechnique privacy = learncurve::PrivacyTechnique::kNone;
-  /// Per-round probability that a sampled agent fails before training
-  /// (device churn). Failed agents skip the round; the fleet re-pairs among
-  /// survivors and aggregates without them — the paper's no-single-point-of
-  /// -failure claim as an executable property.
-  double agent_dropout = 0.0;
-  uint64_t seed = 42;
-};
-
-/// Layered options for every fleet the repo can run — the one structure
-/// behind core::FleetBuilder, core::RealFleet, and
-/// baselines::RealBaselineFleet (whose Options types alias this). It
-/// replaces the three drifted copies of the SGD/batch/seed fields that
-/// used to live in FleetConfig, RealFleet::Options and
-/// RealBaselineFleet::Options.
+/// Layered options for every fleet the repo can run — the one options
+/// type taken by core::FleetBuilder, the paper-scale simulators
+/// (core::SimulatedFleet, baselines::BaselineFleet) and the
+/// real-execution fleets (core::RealFleet, baselines::RealBaselineFleet).
+/// A fleet's agent count is its topology's.
 ///
 /// Defaults suit the real-execution fleets (small models, short rounds);
 /// `paper_defaults()` switches the training geometry to the paper-scale
@@ -84,9 +48,14 @@ struct FleetOptions {
 
   /// Communication-substrate knobs (transport + collectives).
   struct CommOptions {
-    comm::AllReduceAlgo aggregation = comm::AllReduceAlgo::kHalvingDoubling;
-    /// Wire compression applied to intermediate activations (see
-    /// FleetConfig::activation_compression).
+    /// Aggregation collective: an AllReduce with a stepped schedule
+    /// (kHalvingDoublingAllReduce, the paper's choice, or kRingAllReduce).
+    comm::Protocol aggregation = comm::Protocol::kHalvingDoublingAllReduce;
+    /// Wire compression applied to intermediate activations. The profiled
+    /// cuts sit after ReLU units, whose outputs are ~50 % zeros; 8-bit
+    /// quantization (Hubara et al. [36], cited by the paper as integrable)
+    /// combined with sparse encoding gives ~8x over raw float32. Model
+    /// parameters always travel uncompressed.
     double activation_compression = 8.0;
     /// Aggregate server bandwidth for parameter-server methods, shared
     /// across concurrent transfers.
@@ -186,18 +155,25 @@ struct FleetOptions {
   /// Paper-scale simulation knobs (participation sampling, dynamic
   /// profiles, churn).
   struct ScaleOptions {
+    /// Fraction of agents sampled each round (Table III uses 0.2).
     double participation = 1.0;
+    /// Dynamic environment: re-draw this fraction of profiles every
+    /// `reshuffle_period` rounds (paper: 20 % after round 100).
     double reshuffle_fraction = 0.2;
     int64_t reshuffle_period = 100;  ///< 0 disables profile dynamics
+    /// Cap on the number of profiled split points (0 = every boundary).
     size_t max_split_points = 0;
+    /// Per-round probability that a sampled agent fails before training
+    /// (device churn). Failed agents skip the round; the fleet re-pairs
+    /// among survivors and aggregates without them.
     double agent_dropout = 0.0;
   } scale;
 
   /// Reject out-of-range knobs with a descriptive error instead of letting
   /// a zero batch size or negative bandwidth surface as a hang, a
   /// divide-by-zero clock, or silent misbehavior deep inside a round.
-  /// Every fleet entry point (RealFleet, RealBaselineFleet,
-  /// FleetBuilder::build) calls this.
+  /// Every fleet constructor (SimulatedFleet, BaselineFleet, RealFleet,
+  /// RealBaselineFleet) calls this.
   void validate() const {
     COMDML_REQUIRE(train.batch_size > 0,
                    "batch_size must be positive, got " << train.batch_size);
@@ -221,6 +197,14 @@ struct FleetOptions {
     COMDML_REQUIRE(train.reference_flops > 0.0,
                    "reference_flops must be positive, got "
                        << train.reference_flops);
+    COMDML_REQUIRE(comms.aggregation == comm::Protocol::kRingAllReduce ||
+                       comms.aggregation ==
+                           comm::Protocol::kHalvingDoublingAllReduce,
+                   "aggregation protocol '"
+                       << comm::collective(comms.aggregation).name()
+                       << "' has no stepped schedule; fleets aggregate "
+                          "with ring_allreduce or "
+                          "halving_doubling_allreduce");
     COMDML_REQUIRE(comms.activation_compression >= 1.0,
                    "activation_compression must be >= 1, got "
                        << comms.activation_compression);
@@ -299,25 +283,6 @@ struct FleetOptions {
     o.seed = 42;
     o.train.batch_size = 100;
     return o;
-  }
-
-  /// Flattened view for the simulation engines.
-  [[nodiscard]] FleetConfig to_fleet_config(int64_t agents) const {
-    FleetConfig cfg;
-    cfg.agents = agents;
-    cfg.batch_size = train.batch_size;
-    cfg.participation = scale.participation;
-    cfg.reshuffle_fraction = scale.reshuffle_fraction;
-    cfg.reshuffle_period = scale.reshuffle_period;
-    cfg.max_split_points = scale.max_split_points;
-    cfg.activation_compression = comms.activation_compression;
-    cfg.aggregation = comms.aggregation;
-    cfg.server_mbps = comms.server_mbps;
-    cfg.latency_sec = comms.latency_sec;
-    cfg.privacy = privacy.technique;
-    cfg.agent_dropout = scale.agent_dropout;
-    cfg.seed = seed;
-    return cfg;
   }
 };
 

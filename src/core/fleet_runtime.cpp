@@ -214,16 +214,15 @@ FleetRuntime FleetBuilder::build() {
     // Simulated fleets default to the paper-scale preset.
     const FleetOptions opts =
         options_set_ ? options_ : FleetOptions::paper_defaults();
-    const FleetConfig cfg = opts.to_fleet_config(topology_->agents());
     if (method_ == learncurve::Method::kComDML) {
       runtime.sim_comdml_ = std::make_unique<SimulatedFleet>(
-          *spec_, cfg, std::move(*topology_), std::move(*shard_sizes_),
+          *spec_, opts, std::move(*topology_), std::move(*shard_sizes_),
           scheduler_);
     } else {
       COMDML_REQUIRE(scheduler_ == Scheduler::kComDML,
                      "scheduler() ablations only apply to ComDML");
       runtime.sim_baseline_ = std::make_unique<baselines::BaselineFleet>(
-          method_, *spec_, cfg, std::move(*topology_),
+          method_, *spec_, opts, std::move(*topology_),
           std::move(*shard_sizes_));
     }
   } else {

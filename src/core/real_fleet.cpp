@@ -20,7 +20,7 @@ namespace comdml::core {
 
 RealFleet::RealFleet(const ModelFactory& factory, int64_t classes,
                      std::vector<data::Dataset> shards,
-                     sim::Topology topology, Options options)
+                     sim::Topology topology, FleetOptions options)
     : options_(options),
       shards_(std::move(shards)),
       topology_(std::move(topology)),
@@ -523,8 +523,7 @@ RealFleet::RoundStats RealFleet::step() {
         if (parts.size() > 1) {
           try {
             const auto sched = comm::allreduce_schedule_over(
-                comm::allreduce_protocol(options_.comms.aggregation), parts,
-                n);
+                options_.comms.aggregation, parts, n);
             comm::execute_schedule_owned(sched, *dist_->transport, req,
                                          owned);
           } catch (const comm::EndpointDownError&) {
@@ -598,12 +597,12 @@ RealFleet::RoundStats RealFleet::step() {
       const auto min_bw = topology_.min_link_bandwidth();
       COMDML_REQUIRE(min_bw.has_value() || live.size() == 1,
                      "topology has no usable link");
-      const auto agg = comm::allreduce_average_over(
-          live_states,
-          comm::LinkGrid::uniform(static_cast<int64_t>(live.size()),
-                                  min_bw.value_or(100.0),
-                                  options_.comms.latency_sec),
-          options_.comms.aggregation);
+      comm::InProcTransport transport(comm::LinkGrid::uniform(
+          static_cast<int64_t>(live.size()), min_bw.value_or(100.0),
+          options_.comms.latency_sec));
+      (void)comm::run_on_states(options_.comms.aggregation, transport,
+                                live_states);
+      const comm::TransportStats& agg = transport.stats();
       for (size_t i = 0; i < live.size(); ++i) {
         const auto a = static_cast<size_t>(live[i]);
         nn::load_state(*agents_[a].model, live_states[i]);
@@ -611,10 +610,10 @@ RealFleet::RoundStats RealFleet::step() {
       }
 
       // Simulated wall-clock: balanced round span + the collective.
-      stats.aggregation_seconds = agg.cost.seconds;
-      stats.aggregation_bytes = agg.cost.bytes_per_agent;
-      stats.exposed_comm_seconds = agg.cost.seconds;
-      stats.sim_time = t_comp + agg.cost.seconds;
+      stats.aggregation_seconds = agg.seconds;
+      stats.aggregation_bytes = agg.max_bytes_sent();
+      stats.exposed_comm_seconds = agg.seconds;
+      stats.sim_time = t_comp + agg.seconds;
     }
   } else {
     if (dp) {

@@ -41,14 +41,10 @@ class CheckpointError : public std::runtime_error {
 
 class RealFleet {
  public:
-  /// The layered fleet options; training fields live under `.train`,
-  /// aggregation under `.comms`, privacy under `.privacy`.
-  using Options = FleetOptions;
-
   /// One shard per agent; all shards must share classes and sample shape.
   RealFleet(const ModelFactory& factory, int64_t classes,
             std::vector<data::Dataset> shards, sim::Topology topology,
-            Options options);
+            FleetOptions options);
 
   struct RoundStats {
     double sim_time = 0.0;       ///< simulated wall-clock of the round
@@ -255,7 +251,7 @@ class RealFleet {
     std::vector<tensor::Tensor> split_velocity;
   };
 
-  Options options_;
+  FleetOptions options_;
   std::vector<data::Dataset> shards_;
   sim::Topology topology_;
   tensor::Rng rng_;

@@ -42,12 +42,12 @@ comm::LinkGrid bottleneck_grid(const sim::Topology& topology,
 
 RoundPipeline::RoundPipeline(int64_t agents, const nn::BucketPlan& plan,
                              const comm::LinkGrid& grid,
-                             comm::AllReduceAlgo algo,
+                             comm::Protocol protocol,
                              const comm::Codec* codec, bool error_feedback,
                              comm::FaultPlan faults, bool straggler_support)
     : plan_(&plan),
       agents_(agents),
-      protocol_(comm::allreduce_protocol(algo)),
+      protocol_(protocol),
       codec_(codec),
       pending_(static_cast<size_t>(plan.buckets())),
       contributed_(static_cast<size_t>(agents * plan.buckets())) {

@@ -43,7 +43,7 @@
 #include <mutex>
 #include <vector>
 
-#include "comm/allreduce.hpp"
+#include "comm/collective.hpp"
 #include "nn/bucket.hpp"
 
 namespace comdml::core {
@@ -102,7 +102,7 @@ class RoundPipeline {
   /// codec so defer()/absorb_late() can carry a late agent's update into
   /// its next contribution (error feedback with an identity codec).
   RoundPipeline(int64_t agents, const nn::BucketPlan& plan,
-                const comm::LinkGrid& grid, comm::AllReduceAlgo algo,
+                const comm::LinkGrid& grid, comm::Protocol protocol,
                 const comm::Codec* codec = nullptr,
                 bool error_feedback = false, comm::FaultPlan faults = {},
                 bool straggler_support = false);

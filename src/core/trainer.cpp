@@ -9,53 +9,53 @@
 namespace comdml::core {
 
 SimulatedFleet::SimulatedFleet(const nn::ArchitectureSpec& spec,
-                               FleetConfig config, sim::Topology topology,
+                               FleetOptions options, sim::Topology topology,
                                std::vector<int64_t> shard_sizes,
                                Scheduler scheduler)
-    : config_(config),
-      profile_(SplitProfile::from_spec(spec, config.max_split_points,
-                                       config.activation_compression)),
+    : options_(std::move(options)),
+      profile_(SplitProfile::from_spec(spec, options_.scale.max_split_points,
+                                       options_.comms.activation_compression)),
       topology_(std::move(topology)),
       shard_sizes_(std::move(shard_sizes)),
       scheduler_(scheduler),
-      rng_(config.seed) {
-  COMDML_CHECK(config_.agents == topology_.agents());
-  COMDML_REQUIRE(static_cast<int64_t>(shard_sizes_.size()) == config_.agents,
-                 "shard_sizes has " << shard_sizes_.size() << " entries for "
-                                    << config_.agents << " agents");
-  COMDML_CHECK(config_.participation > 0.0 && config_.participation <= 1.0);
+      rng_(options_.seed) {
+  options_.validate();
+  COMDML_REQUIRE(
+      static_cast<int64_t>(shard_sizes_.size()) == topology_.agents(),
+      "shard_sizes has " << shard_sizes_.size() << " entries for "
+                         << topology_.agents() << " agents");
   for (const int64_t s : shard_sizes_) COMDML_CHECK(s > 0);
 }
 
 std::vector<AgentInfo> SimulatedFleet::agent_infos() const {
   const double flops_per_sample = profile_.full_flops_per_sample();
-  std::vector<AgentInfo> infos(static_cast<size_t>(config_.agents));
+  std::vector<AgentInfo> infos(static_cast<size_t>(topology_.agents()));
   const double overhead =
-      learncurve::privacy_compute_overhead(config_.privacy);
-  for (int64_t i = 0; i < config_.agents; ++i) {
+      learncurve::privacy_compute_overhead(options_.privacy.technique);
+  for (int64_t i = 0; i < topology_.agents(); ++i) {
     AgentInfo& a = infos[static_cast<size_t>(i)];
     a.id = i;
     const double sps =
         sim::samples_per_sec(topology_.profile(i), flops_per_sample) /
         overhead;
-    a.proc_speed = sps / static_cast<double>(config_.batch_size);
+    a.proc_speed = sps / static_cast<double>(options_.train.batch_size);
     a.num_batches = (shard_sizes_[static_cast<size_t>(i)] +
-                     config_.batch_size - 1) /
-                    config_.batch_size;
+                     options_.train.batch_size - 1) /
+                    options_.train.batch_size;
     a.tau_solo = static_cast<double>(a.num_batches) / a.proc_speed;
   }
   return infos;
 }
 
 std::vector<int64_t> SimulatedFleet::sample_participants() {
-  std::vector<int64_t> all(static_cast<size_t>(config_.agents));
+  std::vector<int64_t> all(static_cast<size_t>(topology_.agents()));
   std::iota(all.begin(), all.end(), 0);
-  if (config_.participation >= 1.0) return all;
+  if (options_.scale.participation >= 1.0) return all;
   const auto want = std::max<int64_t>(
-      2, static_cast<int64_t>(config_.participation *
-                              static_cast<double>(config_.agents)));
+      2, static_cast<int64_t>(options_.scale.participation *
+                              static_cast<double>(topology_.agents())));
   rng_.shuffle(all);
-  all.resize(static_cast<size_t>(std::min(want, config_.agents)));
+  all.resize(static_cast<size_t>(std::min(want, topology_.agents())));
   std::sort(all.begin(), all.end());
   return all;
 }
@@ -65,9 +65,9 @@ PairingResult SimulatedFleet::schedule(const std::vector<AgentInfo>& infos,
   switch (scheduler_) {
     case Scheduler::kComDML: {
       // Under client sampling, idle agents may still accept offloads.
-      std::vector<int64_t> helpers(static_cast<size_t>(config_.agents));
+      std::vector<int64_t> helpers(static_cast<size_t>(topology_.agents()));
       std::iota(helpers.begin(), helpers.end(), 0);
-      return pair_agents(profile_, infos, topology_, config_.batch_size,
+      return pair_agents(profile_, infos, topology_, options_.train.batch_size,
                          parts, &helpers);
     }
     case Scheduler::kNoOffloading: {
@@ -80,14 +80,14 @@ PairingResult SimulatedFleet::schedule(const std::vector<AgentInfo>& infos,
       return r;
     }
     case Scheduler::kRandom:
-      return random_pairing(profile_, infos, topology_, config_.batch_size,
-                            parts, rng_);
+      return random_pairing(profile_, infos, topology_,
+                            options_.train.batch_size, parts, rng_);
     case Scheduler::kStatic:
       return static_pairing_.apply(profile_, infos, topology_,
-                                   config_.batch_size, parts);
+                                   options_.train.batch_size, parts);
     case Scheduler::kExact:
-      return optimal_pairing(profile_, infos, topology_, config_.batch_size,
-                             parts);
+      return optimal_pairing(profile_, infos, topology_,
+                             options_.train.batch_size, parts);
   }
   COMDML_CHECK(false);
   return {};
@@ -96,10 +96,10 @@ PairingResult SimulatedFleet::schedule(const std::vector<AgentInfo>& infos,
 RoundRecord SimulatedFleet::step() {
   // Dynamic environment: re-draw 20 % of profiles every reshuffle period
   // (the paper re-randomizes after round 100).
-  if (config_.reshuffle_period > 0 && round_ > 0 &&
-      round_ % config_.reshuffle_period == 0) {
+  if (options_.scale.reshuffle_period > 0 && round_ > 0 &&
+      round_ % options_.scale.reshuffle_period == 0) {
     auto profiles = topology_.profiles();
-    sim::reshuffle_profiles(profiles, config_.reshuffle_fraction, rng_);
+    sim::reshuffle_profiles(profiles, options_.scale.reshuffle_fraction, rng_);
     topology_.set_profiles(std::move(profiles));
   }
 
@@ -109,11 +109,11 @@ RoundRecord SimulatedFleet::step() {
   // Device churn: each sampled agent may fail before the round starts; the
   // fleet proceeds with the survivors (at least two must remain).
   int64_t dropped = 0;
-  if (config_.agent_dropout > 0.0) {
+  if (options_.scale.agent_dropout > 0.0) {
     std::vector<int64_t> survivors;
     for (const int64_t id : participants) {
       if (static_cast<int64_t>(participants.size()) - dropped > 2 &&
-          rng_.uniform() < config_.agent_dropout) {
+          rng_.uniform() < options_.scale.agent_dropout) {
         ++dropped;
       } else {
         survivors.push_back(id);
@@ -151,7 +151,7 @@ RoundRecord SimulatedFleet::step() {
         profile_, infos[static_cast<size_t>(pair.slow_agent)], fast_info,
         pair.cut,
         topology_.bandwidth_mbps(pair.slow_agent, pair.fast_agent),
-        config_.batch_size);
+        options_.train.batch_size);
     des.schedule_in(exec.pair_time, [&rec, exec] {
       rec.compute_time = std::max(rec.compute_time, exec.fast_train_time);
       rec.comm_time = std::max(rec.comm_time, exec.link_busy);
@@ -164,13 +164,16 @@ RoundRecord SimulatedFleet::step() {
   const auto model_bytes = profile_.model_state_bytes();
   const auto min_bw = topology_.min_link_bandwidth();
   COMDML_REQUIRE(min_bw.has_value(), "fleet topology has no usable link");
-  const auto agg =
-      comm::allreduce_cost(static_cast<int64_t>(participants.size()),
-                           model_bytes, *min_bw, config_.aggregation,
-                           config_.latency_sec);
-  des.schedule_at(last_finish, [&des, &rec, &agg] {
-    des.schedule_in(agg.seconds, [&rec, &agg] {
-      rec.aggregation_time = agg.seconds;
+  comm::SimTransport transport(comm::LinkGrid::uniform(
+      static_cast<int64_t>(participants.size()), *min_bw,
+      options_.comms.latency_sec));
+  comm::CollectiveRequest req;
+  req.elems = comm::fp32_wire_elems(model_bytes);
+  (void)comm::collective(options_.comms.aggregation).run(transport, req);
+  const double agg_seconds = transport.stats().seconds;
+  des.schedule_at(last_finish, [&des, &rec, agg_seconds] {
+    des.schedule_in(agg_seconds, [&rec, agg_seconds] {
+      rec.aggregation_time = agg_seconds;
     });
   });
   des.run();
@@ -190,7 +193,7 @@ RoundRecord SimulatedFleet::step() {
   for (const int64_t id : participants)
     rec.unbalanced_time = std::max(
         rec.unbalanced_time, infos[static_cast<size_t>(id)].tau_solo);
-  rec.unbalanced_time += agg.seconds;
+  rec.unbalanced_time += agg_seconds;
 
   ++round_;
   return rec;

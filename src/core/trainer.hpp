@@ -30,7 +30,7 @@ enum class Scheduler {
 class SimulatedFleet {
  public:
   /// `shard_sizes[i]` = samples held by agent i.
-  SimulatedFleet(const nn::ArchitectureSpec& spec, FleetConfig config,
+  SimulatedFleet(const nn::ArchitectureSpec& spec, FleetOptions options,
                  sim::Topology topology, std::vector<int64_t> shard_sizes,
                  Scheduler scheduler = Scheduler::kComDML);
 
@@ -46,14 +46,16 @@ class SimulatedFleet {
   [[nodiscard]] const sim::Topology& topology() const noexcept {
     return topology_;
   }
-  [[nodiscard]] const FleetConfig& config() const noexcept { return config_; }
+  [[nodiscard]] const FleetOptions& options() const noexcept {
+    return options_;
+  }
   [[nodiscard]] int64_t rounds_executed() const noexcept { return round_; }
 
   /// Broadcast infos for the current profiles (visible for tests/benches).
   [[nodiscard]] std::vector<AgentInfo> agent_infos() const;
 
  private:
-  FleetConfig config_;
+  FleetOptions options_;
   SplitProfile profile_;
   sim::Topology topology_;
   std::vector<int64_t> shard_sizes_;

@@ -186,9 +186,9 @@ std::vector<std::string> mesh_addresses(const std::string& control_addr,
   return addrs;
 }
 
-comm::AllReduceAlgo spec_algo(const std::string& name) {
-  if (name == "hd") return comm::AllReduceAlgo::kHalvingDoubling;
-  if (name == "ring") return comm::AllReduceAlgo::kRing;
+comm::Protocol spec_algo(const std::string& name) {
+  if (name == "hd") return comm::Protocol::kHalvingDoublingAllReduce;
+  if (name == "ring") return comm::Protocol::kRingAllReduce;
   throw std::invalid_argument("unknown aggregation protocol " + name +
                               " (hd | ring)");
 }

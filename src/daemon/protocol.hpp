@@ -145,7 +145,9 @@ void write_task_result(tensor::ByteWriter& w,
     const std::string& control_addr, int64_t workers,
     int64_t generation = 0);
 
-[[nodiscard]] comm::AllReduceAlgo spec_algo(const std::string& name);
+/// Aggregation protocol a spec names ("hd" | "ring"); any other name
+/// throws std::invalid_argument.
+[[nodiscard]] comm::Protocol spec_algo(const std::string& name);
 
 /// The deterministic fleet a spec describes: synthetic blobs partitioned
 /// iid, resource profiles over a full mesh (uniform when the spec carries

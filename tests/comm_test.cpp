@@ -1,6 +1,7 @@
-// Communication substrate tests: transfer-time model, AllReduce cost model
-// vs real message-level execution (ring and halving/doubling, including
-// non-power-of-two fleets), gossip exchange, parameter-server sharing.
+// Communication substrate tests: transfer-time model, the registry
+// AllReduce cost model vs real message-level execution on tensor states
+// (ring and halving/doubling, including non-power-of-two fleets), and
+// gossip exchange.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,8 +9,8 @@
 #include <numeric>
 
 #include "comm/allreduce.hpp"
-#include "comm/gossip.hpp"
-#include "comm/param_server.hpp"
+#include "comm/collective.hpp"
+#include "sim/topology.hpp"
 #include "tensor/ops.hpp"
 
 namespace comdml::comm {
@@ -63,45 +64,56 @@ TEST(Link, Fp32WireConversionsGuardOverflow) {
 
 // ---- allreduce cost model ----------------------------------------------------------
 
+/// Accounting of one timing-only `protocol` run over K agents at `mbps`.
+TransportStats modeled(Protocol protocol, int64_t agents, int64_t bytes,
+                       double mbps = 100.0) {
+  SimTransport t(LinkGrid::uniform(agents, mbps));
+  CollectiveRequest req;
+  req.elems = fp32_wire_elems(bytes);
+  (void)collective(protocol).run(t, req);
+  return t.stats();
+}
+
+constexpr Protocol kRing = Protocol::kRingAllReduce;
+constexpr Protocol kHD = Protocol::kHalvingDoublingAllReduce;
+
 TEST(AllReduceCost, SingleAgentIsFree) {
-  const auto c = allreduce_cost(1, 1'000'000, 100.0);
+  const auto c = modeled(kHD, 1, 1'000'000);
   EXPECT_DOUBLE_EQ(c.seconds, 0.0);
   EXPECT_EQ(c.steps, 0);
 }
 
 TEST(AllReduceCost, BothAlgorithmsBandwidthOptimal) {
   const int64_t b = 4'000'000;
-  const auto ring = allreduce_cost(8, b, 100.0, AllReduceAlgo::kRing);
-  const auto hd =
-      allreduce_cost(8, b, 100.0, AllReduceAlgo::kHalvingDoubling);
-  EXPECT_EQ(ring.bytes_per_agent, hd.bytes_per_agent);
-  EXPECT_EQ(ring.bytes_per_agent, 2 * (8 - 1) * b / 8);
+  const auto ring = modeled(kRing, 8, b);
+  const auto hd = modeled(kHD, 8, b);
+  EXPECT_EQ(ring.max_bytes_sent(), hd.max_bytes_sent());
+  EXPECT_EQ(ring.max_bytes_sent(), 2 * (8 - 1) * b / 8);
 }
 
 TEST(AllReduceCost, HalvingDoublingFewerStepsAtScale) {
-  const auto ring = allreduce_cost(64, 1'000, 100.0, AllReduceAlgo::kRing);
-  const auto hd =
-      allreduce_cost(64, 1'000, 100.0, AllReduceAlgo::kHalvingDoubling);
+  const auto ring = modeled(kRing, 64, 1'000);
+  const auto hd = modeled(kHD, 64, 1'000);
   EXPECT_EQ(ring.steps, 2 * 63);
   EXPECT_EQ(hd.steps, 2 * 6);
   EXPECT_LT(hd.seconds, ring.seconds);  // latency dominates for tiny models
 }
 
 TEST(AllReduceCost, MultiGigabyteModelIsFinite) {
-  const auto c = allreduce_cost(16, 10'000'000'000, 100.0);  // 10 GB model
+  const auto c = modeled(kHD, 16, 10'000'000'000);  // 10 GB model
   EXPECT_TRUE(std::isfinite(c.seconds));
   EXPECT_GT(c.seconds, 0.0);
-  EXPECT_GT(c.bytes_per_agent, 10'000'000'000 / 16 * 15);
+  EXPECT_GT(c.max_bytes_sent(), 10'000'000'000 / 16 * 15);
 }
 
 TEST(AllReduceCost, NonPowerOfTwoPaysExtra) {
-  const auto p2 = allreduce_cost(8, 1'000'000, 100.0);
-  const auto np2 = allreduce_cost(9, 1'000'000, 100.0);
-  EXPECT_GT(np2.bytes_per_agent, p2.bytes_per_agent);
+  const auto p2 = modeled(kHD, 8, 1'000'000);
+  const auto np2 = modeled(kHD, 9, 1'000'000);
+  EXPECT_GT(np2.max_bytes_sent(), p2.max_bytes_sent());
   EXPECT_EQ(np2.steps, 2 * 3 + 2);
 }
 
-// ---- allreduce execution ------------------------------------------------------------
+// ---- allreduce execution on tensor states ----------------------------------
 
 std::vector<std::vector<Tensor>> random_states(size_t k, Rng& rng) {
   std::vector<std::vector<Tensor>> states;
@@ -115,29 +127,32 @@ std::vector<std::vector<Tensor>> random_states(size_t k, Rng& rng) {
 }
 
 class AllReduceExecP
-    : public ::testing::TestWithParam<std::tuple<int, AllReduceAlgo>> {};
+    : public ::testing::TestWithParam<std::tuple<int, Protocol>> {};
 
 TEST_P(AllReduceExecP, ComputesExactMean) {
-  const auto [k, algo] = GetParam();
+  const auto [k, protocol] = GetParam();
   Rng rng(1000 + k);
   auto states = random_states(static_cast<size_t>(k), rng);
   const auto expected = mean_state(states);
-  (void)allreduce_average(states, algo);
+  InProcTransport t(LinkGrid::uniform(k, 100.0));
+  (void)run_on_states(protocol, t, states);
   for (int a = 0; a < k; ++a)
-    for (size_t t = 0; t < expected.size(); ++t)
-      EXPECT_TRUE(tensor::allclose(states[static_cast<size_t>(a)][t],
-                                   expected[t], 1e-5f))
-          << "agent " << a << " tensor " << t;
+    for (size_t i = 0; i < expected.size(); ++i)
+      EXPECT_TRUE(tensor::allclose(states[static_cast<size_t>(a)][i],
+                                   expected[i], 1e-5f))
+          << "agent " << a << " tensor " << i;
 }
 
 TEST_P(AllReduceExecP, TrafficMatchesCostModel) {
-  const auto [k, algo] = GetParam();
+  const auto [k, protocol] = GetParam();
   Rng rng(2000 + k);
   auto states = random_states(static_cast<size_t>(k), rng);
   int64_t payload = 0;
   for (const auto& t : states[0]) payload += t.nbytes();
-  const auto trace = allreduce_average(states, algo);
-  const auto cost = allreduce_cost(k, payload, 100.0, algo);
+  InProcTransport t(LinkGrid::uniform(k, 100.0));
+  (void)run_on_states(protocol, t, states);
+  const TransportStats& trace = t.stats();
+  const auto cost = modeled(protocol, k, payload);
   // Mean per-agent traffic equals the model's 2(K-1)/K * b (+ fold-in for
   // non-power-of-two halving/doubling; the model charges that to every
   // agent, the execution splits it between extras and partners).
@@ -149,25 +164,25 @@ TEST_P(AllReduceExecP, TrafficMatchesCostModel) {
       2.0 * static_cast<double>(k - 1) / k * static_cast<double>(payload);
   EXPECT_NEAR(mean_sent, expected, static_cast<double>(payload))
       << "k=" << k;
-  if (algo == AllReduceAlgo::kHalvingDoubling && (k & (k - 1)) == 0) {
-    EXPECT_EQ(trace.steps, cost.steps);
-  }
-  if (algo == AllReduceAlgo::kRing && k > 1) {
-    EXPECT_EQ(trace.steps, cost.steps);
-  }
+  EXPECT_EQ(trace.steps, cost.steps);
+  EXPECT_EQ(trace.max_bytes_sent(), cost.max_bytes_sent());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     FleetSizes, AllReduceExecP,
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 7, 8, 12, 16),
-                       ::testing::Values(AllReduceAlgo::kRing,
-                                         AllReduceAlgo::kHalvingDoubling)));
+                       ::testing::Values(kRing, kHD)));
 
 TEST(AllReduceExec, RejectsMismatchedStates) {
   Rng rng(1);
+  InProcTransport t(LinkGrid::uniform(3, 100.0));
   auto states = random_states(3, rng);
   states[1].pop_back();
-  EXPECT_THROW((void)allreduce_average(states), std::invalid_argument);
+  EXPECT_THROW((void)run_on_states(kHD, t, states), std::invalid_argument);
+  states = random_states(3, rng);
+  states[2][1] = rng.normal_tensor({8}, 0, 1);
+  EXPECT_THROW((void)run_on_states(kHD, t, states), std::invalid_argument);
+  EXPECT_EQ(t.stats().messages, 0);
 }
 
 TEST(MeanState, WeightedMeanMatchesManual) {
@@ -185,11 +200,29 @@ TEST(MeanState, ZeroWeightsThrow) {
 
 // ---- gossip --------------------------------------------------------------------------
 
+/// Partner draw of one timing-only gossip round over `topo`.
+std::vector<std::optional<int64_t>> draw_partners(const Topology& topo,
+                                                    Rng& rng) {
+  SimTransport t(LinkGrid::from_topology(topo));
+  CollectiveRequest req;
+  req.rng = &rng;
+  return collective(Protocol::kGossip).run(t, req).partners;
+}
+
+/// One executed gossip round on tensor states over `topo`'s links.
+void gossip_round(std::vector<std::vector<Tensor>>& states,
+                  const Topology& topo, Rng& rng) {
+  InProcTransport t(LinkGrid::from_topology(topo));
+  CollectiveRequest req;
+  req.rng = &rng;
+  (void)run_on_states(Protocol::kGossip, t, states, std::move(req));
+}
+
 TEST(Gossip, PartnersAreNeighbors) {
   Rng rng(2);
   std::vector<ResourceProfile> profiles(6, {1.0, 100.0});
   const auto topo = Topology::ring(profiles);
-  const auto partners = gossip_partners(topo, rng);
+  const auto partners = draw_partners(topo, rng);
   for (int64_t i = 0; i < 6; ++i) {
     ASSERT_TRUE(partners[static_cast<size_t>(i)].has_value());
     EXPECT_TRUE(topo.linked(i, *partners[static_cast<size_t>(i)]));
@@ -200,7 +233,7 @@ TEST(Gossip, IsolatedAgentHasNoPartner) {
   Rng rng(3);
   std::vector<ResourceProfile> profiles{{1, 100}, {1, 100}, {1, 0}};
   const auto topo = Topology::full_mesh(profiles);
-  const auto partners = gossip_partners(topo, rng);
+  const auto partners = draw_partners(topo, rng);
   EXPECT_FALSE(partners[2].has_value());
 }
 
@@ -210,7 +243,7 @@ TEST(Gossip, ExchangeMovesStatesToward) {
   const auto topo = Topology::full_mesh(profiles);
   std::vector<std::vector<Tensor>> states{{Tensor::of({0.f})},
                                           {Tensor::of({10.f})}};
-  (void)gossip_exchange(states, topo, 1000, rng);
+  gossip_round(states, topo, rng);
   // Both agents push to each other (2-agent full mesh), so both average.
   EXPECT_NEAR(states[0][0][0], 5.0f, 1e-5);
   EXPECT_NEAR(states[1][0][0], 5.0f, 1e-5);
@@ -223,8 +256,7 @@ TEST(Gossip, RepeatedExchangeConverges) {
   std::vector<std::vector<Tensor>> states;
   for (int a = 0; a < 8; ++a)
     states.push_back({Tensor::of({static_cast<float>(a)})});
-  for (int round = 0; round < 60; ++round)
-    (void)gossip_exchange(states, topo, 1000, rng);
+  for (int round = 0; round < 60; ++round) gossip_round(states, topo, rng);
   for (int a = 0; a < 8; ++a)
     EXPECT_NEAR(states[static_cast<size_t>(a)][0][0], 3.5f, 0.8f);
 }
@@ -232,35 +264,13 @@ TEST(Gossip, RepeatedExchangeConverges) {
 TEST(Gossip, CostUsesChosenLink) {
   Rng rng(6);
   std::vector<ResourceProfile> profiles(2, {1.0, 10.0});
-  const auto topo = Topology::full_mesh(profiles);
-  const auto times = gossip_exchange_cost(topo, 1'250'000, rng);
+  SimTransport t(LinkGrid::from_topology(Topology::full_mesh(profiles)));
+  CollectiveRequest req;
+  req.elems = fp32_wire_elems(1'250'000);
+  req.rng = &rng;
+  (void)collective(Protocol::kGossip).run(t, req);
   // 1.25 MB over 10 Mbps = 1 s (+5 ms latency).
-  EXPECT_NEAR(times[0], 1.005, 1e-6);
-}
-
-// ---- parameter server -----------------------------------------------------------------
-
-TEST(ParamServer, SharesServerBandwidth) {
-  std::vector<ResourceProfile> profiles(10, {1.0, 100.0});
-  std::vector<int64_t> selected(10);
-  std::iota(selected.begin(), selected.end(), 0);
-  ParamServerConfig config;
-  config.server_mbps = 100.0;  // 10 agents share 100 Mbps -> 10 Mbps each
-  const auto times = server_round_times(profiles, selected, 1'250'000,
-                                        config);
-  for (const double t : times) EXPECT_NEAR(t, 2.0 * 1.005, 1e-6);
-}
-
-TEST(ParamServer, AgentLinkCanBeBottleneck) {
-  std::vector<ResourceProfile> profiles{{1.0, 10.0}};
-  const auto times = server_round_times(profiles, {0}, 1'250'000, {});
-  EXPECT_NEAR(times[0], 2.0 * 1.005, 1e-6);  // limited by the 10 Mbps uplink
-}
-
-TEST(ParamServer, DisconnectedAgentThrows) {
-  std::vector<ResourceProfile> profiles{{1.0, 0.0}};
-  EXPECT_THROW((void)server_round_times(profiles, {0}, 100, {}),
-               std::invalid_argument);
+  EXPECT_NEAR(t.stats().send_seconds[0], 1.005, 1e-6);
 }
 
 }  // namespace

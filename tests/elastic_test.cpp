@@ -14,7 +14,6 @@
 #include <iostream>
 #include <vector>
 
-#include "comm/allreduce.hpp"
 #include "comm/collective.hpp"
 #include "comm/transport.hpp"
 #include "core/fleet_runtime.hpp"
@@ -380,7 +379,7 @@ TEST(PipelineChurn, MidRoundDeathReducesOverContributors) {
   const auto plan = nn::BucketPlan::build(*model, 256);
   ASSERT_GT(plan.buckets(), 1);
   core::RoundPipeline p(3, plan, LinkGrid::uniform(3, 100.0),
-                        comm::AllReduceAlgo::kRing);
+                        comm::Protocol::kRingAllReduce);
   p.begin_round();
   fill_and_contribute(p, 0);
   fill_and_contribute(p, 1);
@@ -406,7 +405,7 @@ TEST(PipelineChurn, LeaveAndRejoinBetweenRounds) {
   const auto model = nn::mlp({6, 12, 3}, rng);
   const auto plan = nn::BucketPlan::build(*model, 256);
   core::RoundPipeline p(3, plan, LinkGrid::uniform(3, 100.0),
-                        comm::AllReduceAlgo::kHalvingDoubling);
+                        comm::Protocol::kHalvingDoublingAllReduce);
   p.leave(2);
   EXPECT_FALSE(p.agent_live(2));
   p.begin_round();
@@ -434,7 +433,7 @@ TEST(PipelineChurn, ResidualsSurviveRebuild) {
   const auto model = nn::mlp({6, 12, 3}, rng);
   const auto plan = nn::BucketPlan::build(*model, 256);
   const LinkGrid grid = LinkGrid::uniform(2, 100.0);
-  const auto algo = comm::AllReduceAlgo::kRing;
+  const auto algo = comm::Protocol::kRingAllReduce;
   const comm::Codec* codec = &comm::quantized_codec();
 
   core::RoundPipeline a(2, plan, grid, algo, codec, /*error_feedback=*/true);

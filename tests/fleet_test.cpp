@@ -18,12 +18,10 @@ using learncurve::PartitionKind;
 using sim::Topology;
 using tensor::Rng;
 
-FleetConfig small_config(int64_t agents, uint64_t seed = 42) {
-  FleetConfig cfg;
-  cfg.agents = agents;
-  cfg.seed = seed;
-  cfg.reshuffle_period = 0;
-  return cfg;
+FleetOptions small_options() {
+  FleetOptions o = FleetOptions::paper_defaults();
+  o.scale.reshuffle_period = 0;
+  return o;
 }
 
 Topology mesh(int64_t agents, uint64_t seed = 1) {
@@ -38,7 +36,7 @@ std::vector<int64_t> iid_sizes(int64_t agents) {
 }
 
 TEST(SimulatedFleet, RoundRecordsAreConsistent) {
-  SimulatedFleet fleet(nn::resnet56_spec(), small_config(10), mesh(10),
+  SimulatedFleet fleet(nn::resnet56_spec(), small_options(), mesh(10),
                        iid_sizes(10));
   const auto rec = fleet.step();
   EXPECT_GT(rec.round_time, 0.0);
@@ -48,7 +46,7 @@ TEST(SimulatedFleet, RoundRecordsAreConsistent) {
 }
 
 TEST(SimulatedFleet, BalancesHeterogeneousFleet) {
-  SimulatedFleet fleet(nn::resnet56_spec(), small_config(10), mesh(10),
+  SimulatedFleet fleet(nn::resnet56_spec(), small_options(), mesh(10),
                        iid_sizes(10));
   const auto rec = fleet.step();
   EXPECT_GT(rec.num_pairs, 0);
@@ -56,7 +54,7 @@ TEST(SimulatedFleet, BalancesHeterogeneousFleet) {
 }
 
 TEST(SimulatedFleet, RunAccumulatesRounds) {
-  SimulatedFleet fleet(nn::resnet56_spec(), small_config(10), mesh(10),
+  SimulatedFleet fleet(nn::resnet56_spec(), small_options(), mesh(10),
                        iid_sizes(10));
   const auto summary = fleet.run(5);
   EXPECT_EQ(summary.rounds().size(), 5u);
@@ -65,7 +63,7 @@ TEST(SimulatedFleet, RunAccumulatesRounds) {
 }
 
 TEST(SimulatedFleet, TimeForRoundsInterpolates) {
-  SimulatedFleet fleet(nn::resnet56_spec(), small_config(10), mesh(10),
+  SimulatedFleet fleet(nn::resnet56_spec(), small_options(), mesh(10),
                        iid_sizes(10));
   const auto summary = fleet.run(4);
   const double t2 = summary.time_for_rounds(2.0);
@@ -78,9 +76,9 @@ TEST(SimulatedFleet, TimeForRoundsInterpolates) {
 }
 
 TEST(SimulatedFleet, ReshufflePeriodChangesProfiles) {
-  auto cfg = small_config(10);
-  cfg.reshuffle_period = 3;
-  cfg.reshuffle_fraction = 1.0;  // redraw everyone for a visible effect
+  auto cfg = small_options();
+  cfg.scale.reshuffle_period = 3;
+  cfg.scale.reshuffle_fraction = 1.0;  // redraw everyone for a visible effect
   SimulatedFleet fleet(nn::resnet56_spec(), cfg, mesh(10), iid_sizes(10));
   const auto before = fleet.agent_infos();
   (void)fleet.run(4);  // crosses the reshuffle boundary at round 3
@@ -92,8 +90,8 @@ TEST(SimulatedFleet, ReshufflePeriodChangesProfiles) {
 }
 
 TEST(SimulatedFleet, ParticipationSamplingShrinksRound) {
-  auto cfg = small_config(50);
-  cfg.participation = 0.2;
+  auto cfg = small_options();
+  cfg.scale.participation = 0.2;
   SimulatedFleet fleet(nn::resnet56_spec(), cfg, mesh(50), iid_sizes(50));
   // With 20% sampling the expected straggler is no slower than the full
   // fleet's; mostly this exercises the sampling path end-to-end.
@@ -108,18 +106,18 @@ TEST(SimulatedFleet, SchedulerVariantsOrdering) {
   const auto sizes = iid_sizes(10);
   double greedy_t = 0, none_t = 0, exact_t = 0;
   {
-    SimulatedFleet f(spec, small_config(10), mesh(10), sizes,
+    SimulatedFleet f(spec, small_options(), mesh(10), sizes,
                      Scheduler::kComDML);
     greedy_t = f.step().round_time;
   }
   {
-    SimulatedFleet f(spec, small_config(10), mesh(10), sizes,
+    SimulatedFleet f(spec, small_options(), mesh(10), sizes,
                      Scheduler::kNoOffloading);
     none_t = f.step().round_time;
   }
   {
-    auto cfg = small_config(10);
-    cfg.max_split_points = 10;  // keep the exact solver fast
+    auto cfg = small_options();
+    cfg.scale.max_split_points = 10;  // keep the exact solver fast
     SimulatedFleet f(spec, cfg, mesh(10), sizes, Scheduler::kExact);
     exact_t = f.step().round_time;
   }
@@ -128,7 +126,7 @@ TEST(SimulatedFleet, SchedulerVariantsOrdering) {
 }
 
 TEST(SimulatedFleet, RejectsShardSizeMismatch) {
-  EXPECT_THROW(SimulatedFleet(nn::resnet56_spec(), small_config(10),
+  EXPECT_THROW(SimulatedFleet(nn::resnet56_spec(), small_options(),
                               mesh(10), iid_sizes(9)),
                std::invalid_argument);
 }
@@ -136,9 +134,9 @@ TEST(SimulatedFleet, RejectsShardSizeMismatch) {
 TEST(SimulatedFleet, PrivacyOverheadSlowsCompute) {
   // Compare under kNoOffloading so the compute overhead is not partially
   // absorbed by re-balanced pairing decisions.
-  auto cfg = small_config(10);
+  auto cfg = small_options();
   auto cfg_dp = cfg;
-  cfg_dp.privacy = learncurve::PrivacyTechnique::kDistanceCorrelation;
+  cfg_dp.privacy.technique = learncurve::PrivacyTechnique::kDistanceCorrelation;
   SimulatedFleet plain(nn::resnet56_spec(), cfg, mesh(10), iid_sizes(10),
                        Scheduler::kNoOffloading);
   SimulatedFleet dp(nn::resnet56_spec(), cfg_dp, mesh(10), iid_sizes(10),
@@ -151,7 +149,7 @@ TEST(SimulatedFleet, PrivacyOverheadSlowsCompute) {
 class BaselineP : public ::testing::TestWithParam<Method> {};
 
 TEST_P(BaselineP, ProducesPositiveRoundTimes) {
-  BaselineFleet fleet(GetParam(), nn::resnet56_spec(), small_config(10),
+  BaselineFleet fleet(GetParam(), nn::resnet56_spec(), small_options(),
                       mesh(10), iid_sizes(10));
   const auto rec = fleet.step();
   EXPECT_GT(rec.round_time, 0.0);
@@ -166,14 +164,14 @@ TEST_P(BaselineP, ProducesPositiveRoundTimes) {
 }
 
 TEST_P(BaselineP, StragglerDominatesRound) {
-  BaselineFleet fleet(GetParam(), nn::resnet56_spec(), small_config(10),
+  BaselineFleet fleet(GetParam(), nn::resnet56_spec(), small_options(),
                       mesh(10), iid_sizes(10));
   const auto rec = fleet.step();
   // All baselines train the full model: the straggler's full-model time
   // exceeds ComDML's balanced round. Synchronous baselines expose the
   // straggler in round_time; asynchronous gossip (whose "round" is a mean
   // over agents) only in compute_time.
-  SimulatedFleet comdml(nn::resnet56_spec(), small_config(10), mesh(10),
+  SimulatedFleet comdml(nn::resnet56_spec(), small_options(), mesh(10),
                         iid_sizes(10));
   const double comdml_round = comdml.step().round_time;
   if (GetParam() == Method::kGossip)
@@ -190,14 +188,14 @@ INSTANTIATE_TEST_SUITE_P(Methods, BaselineP,
 
 TEST(Baselines, RejectsComDML) {
   EXPECT_THROW(BaselineFleet(Method::kComDML, nn::resnet56_spec(),
-                             small_config(10), mesh(10), iid_sizes(10)),
+                             small_options(), mesh(10), iid_sizes(10)),
                std::invalid_argument);
 }
 
 TEST(Baselines, BrainTorrentAggregationScalesWithFleet) {
   auto t = [&](int64_t k) {
     BaselineFleet fleet(Method::kBrainTorrent, nn::resnet56_spec(),
-                        small_config(k), mesh(k, 7), iid_sizes(k));
+                        small_options(), mesh(k, 7), iid_sizes(k));
     return fleet.step().aggregation_time;
   };
   EXPECT_GT(t(20), t(10));
@@ -205,18 +203,59 @@ TEST(Baselines, BrainTorrentAggregationScalesWithFleet) {
 
 TEST(Baselines, GossipCommCheaperThanBrainTorrent) {
   BaselineFleet gossip(Method::kGossip, nn::resnet56_spec(),
-                       small_config(20), mesh(20, 9), iid_sizes(20));
+                       small_options(), mesh(20, 9), iid_sizes(20));
   BaselineFleet bt(Method::kBrainTorrent, nn::resnet56_spec(),
-                   small_config(20), mesh(20, 9), iid_sizes(20));
+                   small_options(), mesh(20, 9), iid_sizes(20));
   EXPECT_LT(gossip.step().aggregation_time, bt.step().aggregation_time);
 }
 
 TEST(Baselines, FedProxSlowerComputeThanFedAvg) {
   BaselineFleet prox(Method::kFedProx, nn::resnet56_spec(),
-                     small_config(10), mesh(10, 11), iid_sizes(10));
-  BaselineFleet avg(Method::kFedAvg, nn::resnet56_spec(), small_config(10),
+                     small_options(), mesh(10, 11), iid_sizes(10));
+  BaselineFleet avg(Method::kFedAvg, nn::resnet56_spec(), small_options(),
                     mesh(10, 11), iid_sizes(10));
   EXPECT_GT(prox.step().compute_time, avg.step().compute_time);
+}
+
+// ---- parameter-server star grid --------------------------------------------
+
+/// Per-agent upload + download seconds of one timing-only server round
+/// moving a 1.25 MB model.
+std::vector<double> server_times(
+    const std::vector<sim::ResourceProfile>& profiles,
+    const std::vector<int64_t>& selected, double server_mbps) {
+  comm::SimTransport t(
+      baselines::param_server_grid(profiles, selected, server_mbps));
+  comm::CollectiveRequest req;
+  req.elems = comm::fp32_wire_elems(1'250'000);
+  req.participants = selected;
+  (void)comm::collective(comm::Protocol::kParamServer).run(t, req);
+  std::vector<double> times;
+  for (const int64_t id : selected)
+    times.push_back(t.stats().send_seconds[static_cast<size_t>(id)] +
+                    t.stats().recv_seconds[static_cast<size_t>(id)]);
+  return times;
+}
+
+TEST(ParamServer, SharesServerBandwidth) {
+  std::vector<sim::ResourceProfile> profiles(10, {1.0, 100.0});
+  std::vector<int64_t> selected(10);
+  std::iota(selected.begin(), selected.end(), 0);
+  // 10 agents share 100 Mbps -> 10 Mbps each; 1.25 MB each way.
+  for (const double t : server_times(profiles, selected, 100.0))
+    EXPECT_NEAR(t, 2.0 * 1.005, 1e-6);
+}
+
+TEST(ParamServer, AgentLinkCanBeBottleneck) {
+  std::vector<sim::ResourceProfile> profiles{{1.0, 10.0}};
+  const auto times = server_times(profiles, {0}, 1000.0);
+  EXPECT_NEAR(times[0], 2.0 * 1.005, 1e-6);  // limited by the 10 Mbps uplink
+}
+
+TEST(ParamServer, DisconnectedAgentThrows) {
+  std::vector<sim::ResourceProfile> profiles{{1.0, 0.0}};
+  EXPECT_THROW((void)baselines::param_server_grid(profiles, {0}, 1000.0),
+               std::invalid_argument);
 }
 
 // ---- FleetRuntime facade (simulation engines) -------------------------------
@@ -266,20 +305,22 @@ TEST(FleetRuntimeSim, RunAccumulatesAndInterpolates) {
   EXPECT_GT(report.time_for_rounds(10.0), report.total_seconds());
 }
 
-TEST(FleetRuntimeSim, LayeredOptionsFlattenToFleetConfig) {
-  FleetOptions o = FleetOptions::paper_defaults();
-  o.scale.participation = 0.2;
-  o.scale.max_split_points = 16;
-  o.comms.aggregation = comm::AllReduceAlgo::kRing;
-  o.privacy.technique = learncurve::PrivacyTechnique::kPatchShuffle;
-  const FleetConfig cfg = o.to_fleet_config(50);
-  EXPECT_EQ(cfg.agents, 50);
-  EXPECT_EQ(cfg.batch_size, 100);  // paper preset
-  EXPECT_EQ(cfg.seed, 42u);
-  EXPECT_DOUBLE_EQ(cfg.participation, 0.2);
-  EXPECT_EQ(cfg.max_split_points, 16u);
-  EXPECT_EQ(cfg.aggregation, comm::AllReduceAlgo::kRing);
-  EXPECT_EQ(cfg.privacy, learncurve::PrivacyTechnique::kPatchShuffle);
+TEST(FleetRuntimeSim, AggregationProtocolReachesSimulatedRound) {
+  // The simulators read FleetOptions directly: the same fleet aggregating
+  // by ring instead of halving/doubling trains identically and pays the
+  // ring's 2(K-1) latency-bound steps instead of 2 log2 K.
+  FleetOptions ring = small_options();
+  ring.comms.aggregation = comm::Protocol::kRingAllReduce;
+  SimulatedFleet hd(nn::resnet56_spec(), small_options(), mesh(8),
+                    iid_sizes(8), Scheduler::kNoOffloading);
+  SimulatedFleet rg(nn::resnet56_spec(), ring, mesh(8), iid_sizes(8),
+                    Scheduler::kNoOffloading);
+  EXPECT_EQ(hd.options().train.batch_size, 100);  // paper preset
+  EXPECT_EQ(hd.options().seed, 42u);
+  const auto a = hd.step();
+  const auto b = rg.step();
+  EXPECT_EQ(a.compute_time, b.compute_time);
+  EXPECT_LT(a.aggregation_time, b.aggregation_time);
 }
 
 TEST(FleetRuntimeSim, SchedulerAblationRunsThroughFacade) {
@@ -300,7 +341,7 @@ TEST(FleetRuntimeSim, SchedulerAblationRunsThroughFacade) {
 }
 
 TEST(FleetRuntimeSim, ServerBandwidthOptionReachesSimulatedFedAvg) {
-  // comms.server_mbps must flow through FleetConfig into the simulated
+  // comms.server_mbps must flow through FleetOptions into the simulated
   // param-server round, not just the real-execution path.
   auto slow_opt = FleetOptions::paper_defaults();
   slow_opt.comms.server_mbps = 10.0;  // congested server: 1 Mbps/agent

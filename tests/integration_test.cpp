@@ -18,7 +18,7 @@ namespace comdml {
 namespace {
 
 using baselines::BaselineFleet;
-using core::FleetConfig;
+using core::FleetOptions;
 using core::Scheduler;
 using core::SimulatedFleet;
 using learncurve::Method;
@@ -26,12 +26,11 @@ using learncurve::PartitionKind;
 using sim::Topology;
 using tensor::Rng;
 
-FleetConfig config10() {
-  FleetConfig cfg;
-  cfg.agents = 10;
-  cfg.reshuffle_period = 0;
-  cfg.max_split_points = 16;
-  return cfg;
+FleetOptions options10() {
+  FleetOptions o = FleetOptions::paper_defaults();
+  o.scale.reshuffle_period = 0;
+  o.scale.max_split_points = 16;
+  return o;
 }
 
 Topology mesh10(uint64_t seed = 1) {
@@ -60,10 +59,10 @@ TEST(EndToEnd, ComDMLFastestTimeToAccuracy) {
         "cifar10", "resnet56", PartitionKind::kIID, m);
     const double rounds = *curve.rounds_to(target);
     if (m == Method::kComDML) {
-      SimulatedFleet fleet(spec, config10(), topo, sizes);
+      SimulatedFleet fleet(spec, options10(), topo, sizes);
       return fleet.run(40).time_for_rounds(rounds);
     }
-    BaselineFleet fleet(m, spec, config10(), topo, sizes);
+    BaselineFleet fleet(m, spec, options10(), topo, sizes);
     return fleet.run(40).time_for_rounds(rounds);
   };
 
@@ -78,8 +77,8 @@ TEST(EndToEnd, ComDMLFastestTimeToAccuracy) {
 
 TEST(EndToEnd, DeterministicAcrossRuns) {
   const auto spec = nn::resnet56_spec();
-  SimulatedFleet a(spec, config10(), mesh10(4), sizes10());
-  SimulatedFleet b(spec, config10(), mesh10(4), sizes10());
+  SimulatedFleet a(spec, options10(), mesh10(4), sizes10());
+  SimulatedFleet b(spec, options10(), mesh10(4), sizes10());
   for (int r = 0; r < 5; ++r) {
     const auto ra = a.step();
     const auto rb = b.step();
@@ -90,10 +89,10 @@ TEST(EndToEnd, DeterministicAcrossRuns) {
 
 TEST(EndToEnd, CompressionShortensRounds) {
   const auto spec = nn::resnet56_spec();
-  auto raw_cfg = config10();
-  raw_cfg.activation_compression = 1.0;
+  auto raw_cfg = options10();
+  raw_cfg.comms.activation_compression = 1.0;
   SimulatedFleet raw(spec, raw_cfg, mesh10(5), sizes10());
-  SimulatedFleet compressed(spec, config10(), mesh10(5), sizes10());
+  SimulatedFleet compressed(spec, options10(), mesh10(5), sizes10());
   double raw_total = 0, comp_total = 0;
   for (int r = 0; r < 5; ++r) {
     raw_total += raw.step().round_time;
@@ -139,9 +138,8 @@ TEST(Helpers, IdleAgentsAcceptOffloads) {
 
 TEST(Helpers, SamplingFleetStillBalances) {
   const auto spec = nn::resnet56_spec();
-  auto cfg = config10();
-  cfg.agents = 20;
-  cfg.participation = 0.2;
+  auto cfg = options10();
+  cfg.scale.participation = 0.2;
   Rng rng(6);
   SimulatedFleet fleet(spec, cfg,
                        Topology::full_mesh(sim::assign_profiles(20, rng)),
@@ -240,9 +238,7 @@ TEST(FailureInjection, IsolatedSlowAgentTrainsSolo) {
   const auto spec = nn::resnet56_spec();
   std::vector<sim::ResourceProfile> profiles{
       {0.2, 0.0}, {4.0, 100.0}, {2.0, 100.0}, {1.0, 100.0}};
-  auto cfg = config10();
-  cfg.agents = 4;
-  SimulatedFleet fleet(spec, cfg, Topology::full_mesh(profiles),
+  SimulatedFleet fleet(spec, options10(), Topology::full_mesh(profiles),
                        std::vector<int64_t>(4, 5000));
   const auto rec = fleet.step();
   EXPECT_DOUBLE_EQ(rec.round_time, rec.unbalanced_time);
@@ -251,9 +247,7 @@ TEST(FailureInjection, IsolatedSlowAgentTrainsSolo) {
 TEST(FailureInjection, FullyDisconnectedFleetThrows) {
   const auto spec = nn::resnet56_spec();
   std::vector<sim::ResourceProfile> profiles(4, {1.0, 0.0});
-  auto cfg = config10();
-  cfg.agents = 4;
-  SimulatedFleet fleet(spec, cfg, Topology::full_mesh(profiles),
+  SimulatedFleet fleet(spec, options10(), Topology::full_mesh(profiles),
                        std::vector<int64_t>(4, 5000));
   EXPECT_THROW((void)fleet.step(), std::invalid_argument);
 }
@@ -262,9 +256,9 @@ TEST(FailureInjection, ProfileDriftTriggersRepairing) {
   // After a full reshuffle the pairing adapts: decisions before and after
   // differ for at least one round in a drifting fleet.
   const auto spec = nn::resnet56_spec();
-  auto cfg = config10();
-  cfg.reshuffle_period = 2;
-  cfg.reshuffle_fraction = 1.0;
+  auto cfg = options10();
+  cfg.scale.reshuffle_period = 2;
+  cfg.scale.reshuffle_fraction = 1.0;
   SimulatedFleet fleet(spec, cfg, mesh10(9), sizes10());
   std::vector<double> times;
   for (int r = 0; r < 6; ++r) times.push_back(fleet.step().round_time);
@@ -288,7 +282,7 @@ TEST(RealWire, PairRoundsReportMeasuredCompression) {
                                     dataset.subset(parts[1])};
   std::vector<sim::ResourceProfile> profiles{{0.2, 100.0}, {4.0, 100.0}};
   core::ModelFactory factory = [](Rng& r) { return nn::small_cnn(3, 3, r); };
-  core::RealFleet::Options opt;
+  core::FleetOptions opt;
   core::RealFleet fleet(factory, 3, std::move(shards),
                         Topology::full_mesh(profiles), opt);
   const auto stats = fleet.step();
@@ -299,8 +293,8 @@ TEST(RealWire, PairRoundsReportMeasuredCompression) {
 
 TEST(FailureInjection, DropoutSkipsAgentsButRoundsProceed) {
   const auto spec = nn::resnet56_spec();
-  auto cfg = config10();
-  cfg.agent_dropout = 0.3;
+  auto cfg = options10();
+  cfg.scale.agent_dropout = 0.3;
   SimulatedFleet fleet(spec, cfg, mesh10(20), sizes10());
   int64_t dropped = 0;
   for (int r = 0; r < 10; ++r) {
@@ -314,9 +308,8 @@ TEST(FailureInjection, DropoutSkipsAgentsButRoundsProceed) {
 
 TEST(FailureInjection, DropoutNeverBelowTwoAgents) {
   const auto spec = nn::resnet56_spec();
-  auto cfg = config10();
-  cfg.agents = 3;
-  cfg.agent_dropout = 0.95;
+  auto cfg = options10();
+  cfg.scale.agent_dropout = 0.95;
   SimulatedFleet fleet(spec, cfg,
                        Topology::full_mesh([&] {
                          Rng rng(21);
@@ -332,9 +325,9 @@ TEST(FailureInjection, DropoutNeverBelowTwoAgents) {
 
 TEST(FailureInjection, ZeroDropoutMatchesBaselineRun) {
   const auto spec = nn::resnet56_spec();
-  auto with = config10();
-  with.agent_dropout = 0.0;
-  SimulatedFleet a(spec, config10(), mesh10(22), sizes10());
+  auto with = options10();
+  with.scale.agent_dropout = 0.0;
+  SimulatedFleet a(spec, options10(), mesh10(22), sizes10());
   SimulatedFleet b(spec, with, mesh10(22), sizes10());
   for (int r = 0; r < 3; ++r)
     EXPECT_DOUBLE_EQ(a.step().round_time, b.step().round_time);
@@ -362,7 +355,7 @@ TEST(RealComparison, AllMethodsReachSimilarAccuracy) {
 
   std::vector<float> accs;
   {
-    core::RealFleet::Options opt;
+    core::FleetOptions opt;
     opt.train.batches_per_round = 5;
     core::RealFleet fleet(factory, 3, shards(),
                           Topology::full_mesh(profiles), opt);
@@ -371,7 +364,7 @@ TEST(RealComparison, AllMethodsReachSimilarAccuracy) {
   }
   for (const Method m : {Method::kFedAvg, Method::kAllReduceDML,
                          Method::kBrainTorrent}) {
-    baselines::RealBaselineFleet::Options opt;
+    core::FleetOptions opt;
     opt.train.batches_per_round = 5;
     baselines::RealBaselineFleet fleet(m, factory, 3, shards(),
                                        Topology::full_mesh(profiles), opt);

@@ -425,7 +425,7 @@ sim::Topology hetero_mesh(int64_t agents) {
 /// the concatenated model state of every agent.
 std::vector<Tensor> fleet_state_at(int threads, int rounds) {
   set_num_threads(threads);
-  core::RealFleet::Options opt;
+  core::FleetOptions opt;
   opt.seed = 99;
   core::RealFleet fleet(small_mlp_factory(), 3, make_shards(4, 55),
                         hetero_mesh(4), opt);

@@ -13,7 +13,7 @@
 #include <thread>
 
 #include "baselines/real_baselines.hpp"
-#include "comm/allreduce.hpp"
+#include "comm/collective.hpp"
 #include "core/fleet_runtime.hpp"
 #include "core/parallel.hpp"
 #include "core/real_fleet.hpp"
@@ -285,6 +285,17 @@ TEST(AsyncCollective, RejectsProtocolsWithoutSteppedSchedule) {
   EXPECT_THROW(
       (void)comm::allreduce_schedule(comm::Protocol::kParamServer, 4, 8),
       std::invalid_argument);
+  // The non-blocking driver only runs stepped schedules: gossip and the
+  // param-server round go through collective(protocol).run().
+  comm::InProcTransport t(comm::LinkGrid::uniform(4, 100.0));
+  for (const auto protocol :
+       {comm::Protocol::kGossip, comm::Protocol::kParamServer}) {
+    comm::CollectiveRequest req;
+    req.elems = 8;
+    EXPECT_THROW(comm::AsyncCollective(protocol, t, req),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(t.stats().messages, 0);
 }
 
 // ---- bucketed determinism at the collective layer ---------------------------
@@ -368,7 +379,7 @@ TEST(RoundPipeline, ConcurrentProducersAndCollectorsReduceEveryBucket) {
   const auto plan = nn::BucketPlan::build(*model, 128);
   const int64_t k = 6;
   core::RoundPipeline pipeline(k, plan, comm::LinkGrid::uniform(k, 100.0),
-                               comm::AllReduceAlgo::kHalvingDoubling);
+                               comm::Protocol::kHalvingDoublingAllReduce);
 
   // Expected mean of the synthetic per-agent payloads.
   const int64_t n = plan.total_elems();
@@ -422,7 +433,7 @@ TEST(RoundPipeline, BeginRoundResetsForReuse) {
   const auto plan = nn::BucketPlan::build(*model, 64);
   const int64_t k = 3;
   core::RoundPipeline pipeline(k, plan, comm::LinkGrid::uniform(k, 100.0),
-                               comm::AllReduceAlgo::kRing);
+                               comm::Protocol::kRingAllReduce);
   for (int round = 0; round < 3; ++round) {
     pipeline.begin_round();
     for (int64_t a = 0; a < k; ++a) {
@@ -449,10 +460,6 @@ class OverlapParityP : public ::testing::TestWithParam<comm::Protocol> {};
 
 TEST_P(OverlapParityP, SimPredictsExecutedBucketScheduleExactly) {
   const comm::Protocol protocol = GetParam();
-  const comm::AllReduceAlgo algo =
-      protocol == comm::Protocol::kRingAllReduce
-          ? comm::AllReduceAlgo::kRing
-          : comm::AllReduceAlgo::kHalvingDoubling;
   Rng rng(11);
   const auto model = nn::mlp({6, 16, 12, 3}, rng);
   const auto plan = nn::BucketPlan::build(*model, 256);
@@ -473,7 +480,7 @@ TEST_P(OverlapParityP, SimPredictsExecutedBucketScheduleExactly) {
   }
 
   // Executed: the concurrent pipeline with real payloads.
-  core::RoundPipeline pipeline(k, plan, grid, algo);
+  core::RoundPipeline pipeline(k, plan, grid, protocol);
   for (int64_t a = 0; a < k; ++a) {
     for (int64_t b = 0; b < plan.buckets(); ++b) {
       double* slot = pipeline.slot(a, b);
@@ -514,7 +521,7 @@ INSTANTIATE_TEST_SUITE_P(
 int64_t pipeline_round_bytes(const nn::BucketPlan& plan, int64_t k,
                              const comm::Codec* codec, bool error_feedback) {
   core::RoundPipeline pipeline(k, plan, comm::LinkGrid::uniform(k, 100.0),
-                               comm::AllReduceAlgo::kHalvingDoubling, codec,
+                               comm::Protocol::kHalvingDoublingAllReduce, codec,
                                error_feedback);
   for (int64_t a = 0; a < k; ++a) {
     for (int64_t b = 0; b < plan.buckets(); ++b) {
@@ -571,7 +578,7 @@ TEST(CompressedBuckets, SimPredictsExecutedQuantizedBucketsExactly) {
   }
 
   core::RoundPipeline pipeline(k, plan, grid,
-                               comm::AllReduceAlgo::kHalvingDoubling,
+                               comm::Protocol::kHalvingDoublingAllReduce,
                                &comm::quantized_codec(), true);
   for (int64_t a = 0; a < k; ++a) {
     for (int64_t b = 0; b < plan.buckets(); ++b) {
@@ -612,7 +619,7 @@ TEST(CompressedBuckets, ErrorFeedbackDrivesRepeatedRoundsToTheMean) {
 
   for (const bool ef : {true, false}) {
     core::RoundPipeline pipeline(1, plan, comm::LinkGrid::uniform(1, 100.0),
-                                 comm::AllReduceAlgo::kHalvingDoubling,
+                                 comm::Protocol::kHalvingDoublingAllReduce,
                                  &comm::quantized_codec(), ef);
     constexpr int kRounds = 64;
     std::vector<double> mean(static_cast<size_t>(n), 0.0);
@@ -875,11 +882,11 @@ TEST(FleetBucketDeterminism, BucketedSequentialMatchesFlatBitwise) {
 }
 
 TEST(FleetBucketDeterminism, OverlappedMatchesSequentialBitwise) {
-  for (const auto algo :
-       {comm::AllReduceAlgo::kHalvingDoubling, comm::AllReduceAlgo::kRing}) {
+  for (const auto protocol : {comm::Protocol::kHalvingDoublingAllReduce,
+                              comm::Protocol::kRingAllReduce}) {
     FleetOptions seq;
     seq.seed = 99;
-    seq.comms.aggregation = algo;
+    seq.comms.aggregation = protocol;
     seq.comms.bucket_bytes = 512;
     FleetOptions ovl = seq;
     ovl.comms.overlap = true;
@@ -1012,6 +1019,26 @@ TEST(FleetOptionsValidate, RejectsBadCommKnobs) {
   EXPECT_THROW(opt.validate(), std::invalid_argument);
 }
 
+TEST(FleetOptionsValidate, RejectsAggregationWithoutSteppedSchedule) {
+  FleetOptions opt;
+  opt.comms.aggregation = comm::Protocol::kRingAllReduce;
+  EXPECT_NO_THROW(opt.validate());
+  for (const auto protocol :
+       {comm::Protocol::kGossip, comm::Protocol::kParamServer}) {
+    opt.comms.aggregation = protocol;
+    try {
+      opt.validate();
+      ADD_FAILURE() << "accepted " << comm::collective(protocol).name();
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string(comm::collective(protocol).name())),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("no stepped schedule"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(FleetOptionsValidate, RejectsBadScaleAndPrivacyKnobs) {
   FleetOptions opt;
   opt.scale.participation = 0.0;
@@ -1036,6 +1063,13 @@ TEST(FleetOptionsValidate, FleetsRejectInvalidOptionsAtConstruction) {
   EXPECT_THROW(baselines::RealBaselineFleet(
                    learncurve::Method::kFedAvg, mlp_factory(6, 3), 3,
                    blob_shards(2, 20, 3, 6, 72), hetero_mesh(2), opt),
+               std::invalid_argument);
+  EXPECT_THROW(core::SimulatedFleet(nn::resnet56_spec(), opt, hetero_mesh(2),
+                                    {100, 100}),
+               std::invalid_argument);
+  EXPECT_THROW(baselines::BaselineFleet(learncurve::Method::kFedAvg,
+                                        nn::resnet56_spec(), opt,
+                                        hetero_mesh(2), {100, 100}),
                std::invalid_argument);
   EXPECT_THROW(core::FleetBuilder()
                    .method(learncurve::Method::kComDML)

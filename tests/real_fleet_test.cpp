@@ -44,7 +44,7 @@ Topology hetero_mesh(int64_t agents) {
 }
 
 TEST(RealFleet, ReplicasStartIdentical) {
-  RealFleet::Options opt;
+  FleetOptions opt;
   RealFleet fleet(mlp_factory(6, 3), 3, blob_shards(4, 40, 3, 6, 1),
                   hetero_mesh(4), opt);
   Rng rng(2);
@@ -55,7 +55,7 @@ TEST(RealFleet, ReplicasStartIdentical) {
 }
 
 TEST(RealFleet, HeterogeneousFleetFormsPairs) {
-  RealFleet::Options opt;
+  FleetOptions opt;
   RealFleet fleet(mlp_factory(6, 3), 3, blob_shards(4, 40, 3, 6, 3),
                   hetero_mesh(4), opt);
   const auto stats = fleet.step();
@@ -64,7 +64,7 @@ TEST(RealFleet, HeterogeneousFleetFormsPairs) {
 }
 
 TEST(RealFleet, AggregationRestoresConsensus) {
-  RealFleet::Options opt;
+  FleetOptions opt;
   RealFleet fleet(mlp_factory(6, 3), 3, blob_shards(4, 40, 3, 6, 4),
                   hetero_mesh(4), opt);
   (void)fleet.step();
@@ -77,7 +77,7 @@ TEST(RealFleet, AggregationRestoresConsensus) {
 }
 
 TEST(RealFleet, TrainingImprovesAccuracy) {
-  RealFleet::Options opt;
+  FleetOptions opt;
   opt.train.batches_per_round = 6;
   opt.train.sgd.lr = 0.08f;
   auto shards = blob_shards(4, 60, 3, 6, 6);
@@ -98,7 +98,7 @@ TEST(RealFleet, TrainingImprovesAccuracy) {
 }
 
 TEST(RealFleet, ReportsDcorForPairs) {
-  RealFleet::Options opt;
+  FleetOptions opt;
   RealFleet fleet(mlp_factory(6, 3), 3, blob_shards(4, 40, 3, 6, 8),
                   hetero_mesh(4), opt);
   const auto stats = fleet.step();
@@ -109,7 +109,7 @@ TEST(RealFleet, ReportsDcorForPairs) {
 }
 
 TEST(RealFleet, DifferentialPrivacyStillLearns) {
-  RealFleet::Options opt;
+  FleetOptions opt;
   opt.privacy.technique = learncurve::PrivacyTechnique::kDifferentialPrivacy;
   opt.privacy.dp_epsilon = 2.0;
   opt.privacy.dp_sensitivity = 1e-4;
@@ -123,7 +123,7 @@ TEST(RealFleet, DifferentialPrivacyStillLearns) {
 }
 
 TEST(RealFleet, PatchShufflePathRunsOnImages) {
-  RealFleet::Options opt;
+  FleetOptions opt;
   opt.privacy.technique = learncurve::PrivacyTechnique::kPatchShuffle;
   opt.privacy.shuffle_patch = 2;
   opt.train.batch_size = 8;
@@ -142,7 +142,7 @@ TEST(RealFleet, PatchShufflePathRunsOnImages) {
 }
 
 TEST(RealFleet, PlateauScheduleDecaysLearningRate) {
-  RealFleet::Options opt;
+  FleetOptions opt;
   opt.train.plateau_factor = 0.5f;
   opt.train.plateau_patience = 2;
   // An LR this small cannot move the loss, so the metric plateaus from
@@ -160,7 +160,7 @@ TEST(RealFleet, OverlappedRoundsLearnAndKeepConsensus) {
   // Overlapped bucketed aggregation must behave exactly like a normal
   // round from the outside: replicas agree after step() and training
   // still converges.
-  RealFleet::Options opt;
+  FleetOptions opt;
   opt.train.batches_per_round = 6;
   opt.train.sgd.lr = 0.08f;
   opt.comms.bucket_bytes = 512;
@@ -184,7 +184,7 @@ TEST(RealFleet, OverlappedRoundsLearnAndKeepConsensus) {
 }
 
 TEST(RealFleet, RejectsShardTopologyMismatch) {
-  RealFleet::Options opt;
+  FleetOptions opt;
   EXPECT_THROW(RealFleet(mlp_factory(6, 3), 3, blob_shards(3, 20, 3, 6, 11),
                          hetero_mesh(4), opt),
                std::invalid_argument);
@@ -195,7 +195,7 @@ TEST(RealFleet, RejectsShardTopologyMismatch) {
 class RealBaselineP : public ::testing::TestWithParam<Method> {};
 
 TEST_P(RealBaselineP, LearnsBlobs) {
-  RealBaselineFleet::Options opt;
+  FleetOptions opt;
   opt.train.batches_per_round = 6;
   opt.train.sgd.lr = 0.08f;
   auto shards = blob_shards(4, 60, 3, 6, 12);
@@ -213,7 +213,7 @@ INSTANTIATE_TEST_SUITE_P(Methods, RealBaselineP,
                                            Method::kAllReduceDML));
 
 TEST(RealBaselines, FedAvgReachesConsensus) {
-  RealBaselineFleet::Options opt;
+  FleetOptions opt;
   RealBaselineFleet fleet(Method::kFedAvg, mlp_factory(6, 3), 3,
                           blob_shards(4, 40, 3, 6, 13), hetero_mesh(4), opt);
   (void)fleet.step();
@@ -226,7 +226,7 @@ TEST(RealBaselines, FedAvgReachesConsensus) {
 }
 
 TEST(RealBaselines, GossipReplicasMayDiverge) {
-  RealBaselineFleet::Options opt;
+  FleetOptions opt;
   RealBaselineFleet fleet(Method::kGossip, mlp_factory(6, 3), 3,
                           blob_shards(4, 40, 3, 6, 15), hetero_mesh(4), opt);
   (void)fleet.step();
@@ -246,7 +246,7 @@ TEST(RealBaselines, FedAvgToleratesDisconnectedAgent) {
   // fall back to the historical local weighted mean instead of throwing.
   std::vector<ResourceProfile> profiles{
       {4.0, 100.0}, {0.2, 100.0}, {2.0, 0.0}};
-  RealBaselineFleet::Options opt;
+  FleetOptions opt;
   RealBaselineFleet fleet(Method::kFedAvg, mlp_factory(6, 3), 3,
                           blob_shards(3, 20, 3, 6, 25),
                           Topology::full_mesh(profiles), opt);
@@ -261,7 +261,7 @@ TEST(RealBaselines, FedAvgToleratesDisconnectedAgent) {
 }
 
 TEST(RealBaselines, RejectsComDML) {
-  RealBaselineFleet::Options opt;
+  FleetOptions opt;
   EXPECT_THROW(RealBaselineFleet(Method::kComDML, mlp_factory(6, 3), 3,
                                  blob_shards(2, 20, 3, 6, 17),
                                  hetero_mesh(2), opt),

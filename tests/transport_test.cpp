@@ -12,7 +12,6 @@
 #include <string>
 #include <thread>
 
-#include "comm/allreduce.hpp"
 #include "comm/collective.hpp"
 #include "comm/quantize.hpp"
 #include "comm/reliable.hpp"
@@ -983,22 +982,6 @@ TEST(BorrowedSends, ScheduleReceivingIntoItsOwnSentSpanIsRejected) {
   AsyncCollective(good, t, req).wait();
   EXPECT_EQ(bufs[0][4], inputs[0][4] + inputs[1][4]);
   EXPECT_EQ(bufs[1][0], inputs[1][0] + inputs[0][0]);
-}
-
-// ---- shim equivalence ------------------------------------------------------
-
-TEST(Shims, AllReduceCostMatchesTransportRun) {
-  // The historical allreduce_cost() is now literally a SimTransport run;
-  // spot-check it against a hand-built transport.
-  const int64_t k = 8, bytes = 4'000'000;
-  const auto cost = allreduce_cost(k, bytes, 100.0, AllReduceAlgo::kRing);
-  SimTransport t(LinkGrid::uniform(k, 100.0));
-  CollectiveRequest req;
-  req.elems = fp32_wire_elems(bytes);
-  (void)collective(Protocol::kRingAllReduce).run(t, req);
-  EXPECT_EQ(cost.steps, t.stats().steps);
-  EXPECT_EQ(cost.bytes_per_agent, t.stats().max_bytes_sent());
-  EXPECT_DOUBLE_EQ(cost.seconds, t.stats().seconds);
 }
 
 }  // namespace
