@@ -1,7 +1,6 @@
 #include "baselines/baseline_fleet.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "comm/link.hpp"
 #include "sim/resources.hpp"
@@ -43,19 +42,6 @@ BaselineFleet::BaselineFleet(Method method, const nn::ArchitectureSpec& spec,
                topology_.agents());
 }
 
-std::vector<int64_t> BaselineFleet::sample_participants() {
-  std::vector<int64_t> all(static_cast<size_t>(topology_.agents()));
-  std::iota(all.begin(), all.end(), 0);
-  if (options_.scale.participation >= 1.0) return all;
-  const auto want = std::max<int64_t>(
-      2, static_cast<int64_t>(options_.scale.participation *
-                              static_cast<double>(topology_.agents())));
-  rng_.shuffle(all);
-  all.resize(static_cast<size_t>(std::min(want, topology_.agents())));
-  std::sort(all.begin(), all.end());
-  return all;
-}
-
 std::vector<double> BaselineFleet::solo_times(
     const std::vector<int64_t>& participants) const {
   const double overhead =
@@ -81,7 +67,8 @@ RoundRecord BaselineFleet::step() {
     topology_.set_profiles(std::move(profiles));
   }
 
-  const auto participants = sample_participants();
+  const auto participants = core::sample_participants(
+      topology_.agents(), options_.scale.participation, rng_);
   const auto compute = solo_times(participants);
   const double slowest =
       *std::max_element(compute.begin(), compute.end());

@@ -37,7 +37,6 @@ class BaselineFleet {
 
   [[nodiscard]] std::vector<double> solo_times(
       const std::vector<int64_t>& participants) const;
-  [[nodiscard]] std::vector<int64_t> sample_participants();
 };
 
 /// Proximal-term compute overhead used for FedProx (extra gradient term).

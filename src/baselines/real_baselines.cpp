@@ -158,8 +158,8 @@ void RealBaselineFleet::aggregate(RoundStats& stats) {
     case learncurve::Method::kGossip: {
       const int64_t bytes =
           static_cast<int64_t>(nn::state_bytes(*models_[0]));
-      comm::InProcTransport transport(
-          comm::LinkGrid::from_topology(topology_));
+      comm::InProcTransport transport(comm::LinkGrid::from_topology(
+          topology_, options_.comms.latency_sec));
       comm::CollectiveRequest req;
       req.rng = &rng_;
       const comm::CollectiveReport rep = comm::run_on_states(
@@ -172,8 +172,10 @@ void RealBaselineFleet::aggregate(RoundStats& stats) {
         stats.aggregation_seconds = std::max(
             stats.aggregation_seconds,
             comm::transfer_seconds(
-                bytes, topology_.bandwidth_mbps(static_cast<int64_t>(i),
-                                                *rep.partners[i])));
+                bytes,
+                topology_.bandwidth_mbps(static_cast<int64_t>(i),
+                                         *rep.partners[i]),
+                options_.comms.latency_sec));
       }
       stats.aggregation_bytes = bytes;
       break;

@@ -76,8 +76,10 @@ inline constexpr uint32_t kFrameMagic = 0x434D4446;  // "CMDF"
 /// the payload bytes, which folds the byte length (version 3 folded the
 /// element count; version 2 carried FNV-1a), so mixed binaries are
 /// refused at the first frame instead of discarding every payload as
-/// corrupt.
-inline constexpr uint16_t kWireVersion = 4;
+/// corrupt. Version 5: every fleetd data-mesh layout is one MeshLayout
+/// record (live workers + addresses) with no mesh generation, and kStart
+/// now names the live workers too.
+inline constexpr uint16_t kWireVersion = 5;
 /// Upper bound on a frame body — rejects desynchronized/garbage peers
 /// before a bad length turns into a huge allocation.
 inline constexpr uint32_t kMaxFrameBody = 1u << 30;

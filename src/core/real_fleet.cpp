@@ -395,7 +395,7 @@ RealFleet::RoundStats RealFleet::step() {
   // `died`: they leave the fleet before the collective forms, so the
   // survivors aggregate exactly like a from-scratch survivor-only fleet
   // (the dead workers' zero TaskResult slots fold harmlessly).
-  if (dist_ && dist_->exchange) {
+  if (dist_) {
     ExchangeIO io;
     io.task_agent = &task_agent;
     io.results = &results;
@@ -535,42 +535,23 @@ RealFleet::RoundStats RealFleet::step() {
         std::vector<int64_t> view;
         for (const int64_t p : parts)
           if (dist_->transport->endpoint_alive(p)) view.push_back(p);
-        if (dist_->collective_sync) {
-          auto agreement = dist_->collective_sync(view, ok);
-          std::sort(agreement.first.begin(), agreement.first.end());
-          for (const int64_t p : parts)
-            if (!std::binary_search(agreement.first.begin(),
-                                    agreement.first.end(), p) &&
-                agents_[static_cast<size_t>(p)].alive)
-              kill_agent(p);
-          parts = std::move(agreement.first);
-          COMDML_REQUIRE(!parts.empty(),
-                         "collective recovery lost every live agent");
-          if (agreement.second == nullptr) break;  // settled everywhere
-          dist_->transport = agreement.second;
-          first_owned = flatten_owned(parts);
-          COMDML_REQUIRE(first_owned >= 0,
-                         "shard " << dist_->shard
-                                  << " owns no agent surviving the "
-                                     "collective recovery");
-        } else {
-          if (ok) break;
-          // No coordinator to arbitrate (single-worker context in tests):
-          // trust the local view, drop in-flight frames, and retry.
-          for (const int64_t p : parts)
-            if (!dist_->transport->endpoint_alive(p) &&
-                agents_[static_cast<size_t>(p)].alive)
-              kill_agent(p);
-          COMDML_REQUIRE(!view.empty(),
-                         "collective recovery lost every live agent");
-          dist_->transport->clear_pending();
-          parts = std::move(view);
-          first_owned = flatten_owned(parts);
-          COMDML_REQUIRE(first_owned >= 0,
-                         "shard " << dist_->shard
-                                  << " owns no agent surviving the "
-                                     "collective recovery");
-        }
+        auto agreement = dist_->collective_sync(view, ok);
+        std::sort(agreement.first.begin(), agreement.first.end());
+        for (const int64_t p : parts)
+          if (!std::binary_search(agreement.first.begin(),
+                                  agreement.first.end(), p) &&
+              agents_[static_cast<size_t>(p)].alive)
+            kill_agent(p);
+        parts = std::move(agreement.first);
+        COMDML_REQUIRE(!parts.empty(),
+                       "collective recovery lost every live agent");
+        if (agreement.second == nullptr) break;  // settled everywhere
+        dist_->transport = agreement.second;
+        first_owned = flatten_owned(parts);
+        COMDML_REQUIRE(first_owned >= 0,
+                       "shard " << dist_->shard
+                                << " owns no agent surviving the "
+                                   "collective recovery");
       }
       // Every owned surviving buffer now holds the same mean; adopt it as
       // the consensus on every surviving replica — owned or not — so
@@ -1050,8 +1031,9 @@ void RealFleet::set_dist_context(DistContext ctx) {
     if (o == ctx.shard) owns_one = true;
   }
   COMDML_REQUIRE(owns_one, "shard " << ctx.shard << " owns no agent");
-  COMDML_REQUIRE(ctx.shards == 1 || static_cast<bool>(ctx.exchange),
-                 "multi-worker fleets need a TaskResult exchange");
+  COMDML_REQUIRE(ctx.exchange && ctx.collective_sync,
+                 "multi-process fleets need a TaskResult exchange and a "
+                 "collective sync");
   // Constraints the partitioned round cannot honor yet: mid-round deaths
   // (every worker must see the same live set at every point), straggler
   // deferral (needs the pipeline's residual machinery), and message loss

@@ -137,8 +137,7 @@ class RealFleet {
     /// (never null when the set must be retried — rebuilding the data mesh
     /// guarantees no stale frame from the aborted schedule leaks into the
     /// survivor schedule) or nullptr when every worker agrees and the
-    /// collective is settled. Workers without a coordinator (single
-    /// process) leave this unset and recover from the local view.
+    /// collective is settled. Both callbacks are required.
     std::function<std::pair<std::vector<int64_t>, comm::Transport*>(
         const std::vector<int64_t>&, bool)>
         collective_sync;

@@ -47,15 +47,16 @@ std::vector<AgentInfo> SimulatedFleet::agent_infos() const {
   return infos;
 }
 
-std::vector<int64_t> SimulatedFleet::sample_participants() {
-  std::vector<int64_t> all(static_cast<size_t>(topology_.agents()));
+std::vector<int64_t> sample_participants(int64_t agents,
+                                         double participation,
+                                         tensor::Rng& rng) {
+  std::vector<int64_t> all(static_cast<size_t>(agents));
   std::iota(all.begin(), all.end(), 0);
-  if (options_.scale.participation >= 1.0) return all;
+  if (participation >= 1.0) return all;
   const auto want = std::max<int64_t>(
-      2, static_cast<int64_t>(options_.scale.participation *
-                              static_cast<double>(topology_.agents())));
-  rng_.shuffle(all);
-  all.resize(static_cast<size_t>(std::min(want, topology_.agents())));
+      2, static_cast<int64_t>(participation * static_cast<double>(agents)));
+  rng.shuffle(all);
+  all.resize(static_cast<size_t>(std::min(want, agents)));
   std::sort(all.begin(), all.end());
   return all;
 }
@@ -104,7 +105,8 @@ RoundRecord SimulatedFleet::step() {
   }
 
   const auto infos = agent_infos();
-  auto participants = sample_participants();
+  auto participants = sample_participants(
+      topology_.agents(), options_.scale.participation, rng_);
 
   // Device churn: each sampled agent may fail before the round starts; the
   // fleet proceeds with the survivors (at least two must remain).

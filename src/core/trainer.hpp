@@ -64,10 +64,16 @@ class SimulatedFleet {
   StaticPairing static_pairing_;
   int64_t round_ = 0;
 
-  [[nodiscard]] std::vector<int64_t> sample_participants();
   [[nodiscard]] PairingResult schedule(const std::vector<AgentInfo>& infos,
                                        const std::vector<int64_t>& parts);
 };
+
+/// One round's participants: every agent when `participation` >= 1,
+/// else a sorted random sample of max(2, participation * agents) of them
+/// drawn from `rng`. Both simulated fleets sample through this.
+[[nodiscard]] std::vector<int64_t> sample_participants(int64_t agents,
+                                                       double participation,
+                                                       tensor::Rng& rng);
 
 /// Samples-per-agent for a paper dataset under a partition scheme
 /// (IID: equal shards; Dirichlet: proportions ~ Dirichlet(alpha) with a

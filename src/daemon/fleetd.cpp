@@ -12,6 +12,8 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -65,10 +67,16 @@ struct CrashHook {
   ::_exit(137);
 }
 
+/// One worker's answer in a fan-in.
+struct Reply {
+  int64_t worker = 0;
+  comm::WireFrame frame;
+};
+
 /// The coordinator: owns the worker links and drives the round protocol.
-/// Worker death is survivable everywhere after the join phase: a gather
-/// that loses a worker marks its agents dead, tells the survivors, and
-/// completes over what is left.
+/// Worker death is survivable everywhere after the join phase: a fan-out
+/// that loses a worker marks its agents dead, tells the survivors once
+/// every reply is in, and completes over what is left.
 class Coordinator {
  public:
   explicit Coordinator(const CoordinatorOptions& options)
@@ -86,10 +94,10 @@ class Coordinator {
     listen_fd_ = comm::listen_on(addr);
 
     // Phase 1: every worker joins (kJoin names its index), then all get
-    // the same kStart — spec, fleet partition, and the data-mesh
-    // addresses their SocketTransports will form a full mesh over. A
-    // client that connects during this phase gets its hello answered and
-    // is parked until the fleet is up.
+    // the same kStart — spec, fleet partition, and the data-mesh layout
+    // their SocketTransports will form a full mesh over. A client that
+    // connects during this phase gets its hello answered and is parked
+    // until the fleet is up.
     workers_.resize(static_cast<size_t>(options_.workers));
     for (int64_t joined = 0; joined < options_.workers;) {
       const int fd = comm::accept_on(listen_fd_);
@@ -98,11 +106,7 @@ class Coordinator {
       try {
         const comm::WireFrame frame = recv_msg(fd, "joining peer");
         if (frame.type == static_cast<uint16_t>(Msg::kClientHello)) {
-          tensor::ByteWriter w;
-          w.i64(options_.spec.agents);
-          w.i64(options_.workers);
-          reply(fd, Msg::kClientHello, w.bytes());
-          pending_clients_.push_back(fd);
+          park_client(fd);
           continue;
         }
         COMDML_REQUIRE(frame.type == static_cast<uint16_t>(Msg::kJoin),
@@ -127,19 +131,12 @@ class Coordinator {
     owner_ = owner_map(options_.spec.agents, options_.workers);
     agent_live_.assign(static_cast<size_t>(options_.spec.agents), 1);
     agent_left_.assign(static_cast<size_t>(options_.spec.agents), 0);
-    const std::vector<std::string> mesh =
-        mesh_addresses(options_.listen, options_.workers);
-    {
-      tensor::ByteWriter w;
-      write_spec(w, options_.spec);
-      w.i64(options_.workers);
-      w.i64s(owner_);
-      w.u32(static_cast<uint32_t>(mesh.size()));
-      for (const std::string& a : mesh) w.str(a);
-      broadcast(Msg::kStart, w.bytes());
-    }
-    for (const WorkerLink& w : workers_)
-      (void)expect_msg(w.fd, Msg::kReady, "worker");
+    const tensor::ByteWriter start = start_body(next_mesh(live_worker_ids()));
+    std::vector<int64_t> died;
+    (void)recv_all(
+        send_all(live_worker_ids(), Msg::kStart, start.bytes(), died),
+        Msg::kReady, died, nullptr);
+    COMDML_REQUIRE(died.empty(), "a worker was lost before the fleet came up");
     std::printf("fleetd: %lld workers ready, %lld agents, serving on %s\n",
                 (long long)options_.workers,
                 (long long)options_.spec.agents, options_.listen.c_str());
@@ -200,11 +197,7 @@ class Coordinator {
     try {
       const comm::WireFrame frame = recv_msg(fd, "connecting peer");
       if (frame.type == static_cast<uint16_t>(Msg::kClientHello)) {
-        tensor::ByteWriter w;
-        w.i64(options_.spec.agents);
-        w.i64(options_.workers);
-        reply(fd, Msg::kClientHello, w.bytes());
-        pending_clients_.push_back(fd);
+        park_client(fd);
         return;
       }
       if (frame.type == static_cast<uint16_t>(Msg::kRejoin)) {
@@ -232,15 +225,24 @@ class Coordinator {
     }
   }
 
+  /// Answer a client's hello with the fleet shape.
+  void hello(int fd) {
+    tensor::ByteWriter w;
+    w.i64(options_.spec.agents);
+    w.i64(options_.workers);
+    reply(fd, Msg::kClientHello, w.bytes());
+  }
+
+  void park_client(int fd) {
+    hello(fd);
+    pending_clients_.push_back(fd);
+  }
+
   bool handle_client(int client, const comm::WireFrame& frame) {
     switch (static_cast<Msg>(frame.type)) {
-      case Msg::kClientHello: {
-        tensor::ByteWriter w;
-        w.i64(options_.spec.agents);
-        w.i64(options_.workers);
-        reply(client, Msg::kClientHello, w.bytes());
+      case Msg::kClientHello:
+        hello(client);
         return false;
-      }
       case Msg::kClientRound: {
         const core::RoundReport rep = run_round();
         tensor::ByteWriter w;
@@ -249,22 +251,10 @@ class Coordinator {
         return false;
       }
       case Msg::kClientStats: {
-        std::vector<int64_t> sent;
-        for (const int64_t i : live_worker_ids()) {
-          if (send_msg(workers_[static_cast<size_t>(i)].fd, Msg::kStatsReq))
-            sent.push_back(i);
-          else
-            notify_agents_died(mark_worker_dead(i));
-        }
         std::vector<comm::TransportStats> parts;
-        for (const int64_t i : sent) {
-          if (!workers_[static_cast<size_t>(i)].alive) continue;
-          auto resp = recv_from_worker(i, Msg::kStatsResp);
-          if (!resp.has_value()) {
-            notify_agents_died(mark_worker_dead(i));
-            continue;
-          }
-          tensor::ByteReader r(resp->body);
+        for (const Reply& rep :
+             call(live_worker_ids(), Msg::kStatsReq, {}, Msg::kStatsResp)) {
+          tensor::ByteReader r(rep.frame.body);
           parts.push_back(read_stats(r));
           r.expect_done();
         }
@@ -277,18 +267,10 @@ class Coordinator {
       case Msg::kClientWeights: {
         // Any live worker holds the consensus model; walk past crashes.
         for (;;) {
-          const int64_t t = first_alive_worker();
-          const int tfd = workers_[static_cast<size_t>(t)].fd;
-          if (!send_msg(tfd, Msg::kWeightsReq)) {
-            notify_agents_died(mark_worker_dead(t));
-            continue;
-          }
-          auto resp = recv_from_worker(t, Msg::kWeights);
-          if (!resp.has_value()) {
-            notify_agents_died(mark_worker_dead(t));
-            continue;
-          }
-          reply(client, Msg::kWeights, resp->body);
+          const std::vector<Reply> got = call(
+              {first_alive_worker()}, Msg::kWeightsReq, {}, Msg::kWeights);
+          if (got.empty()) continue;
+          reply(client, Msg::kWeights, got[0].frame.body);
           return false;
         }
       }
@@ -298,28 +280,13 @@ class Coordinator {
       }
       case Msg::kClientShardCheckpoint: {
         tensor::ByteReader r(frame.body);
-        const std::string dir = r.str();
+        (void)r.str();  // the directory, forwarded as is
         r.expect_done();
         sweep_and_notify();
-        tensor::ByteWriter req;
-        req.str(dir);
-        std::vector<int64_t> sent;
-        for (const int64_t i : live_worker_ids()) {
-          if (send_msg(workers_[static_cast<size_t>(i)].fd,
-                       Msg::kShardCheckpoint, req.bytes()))
-            sent.push_back(i);
-          else
-            notify_agents_died(mark_worker_dead(i));
-        }
         std::vector<std::string> paths;
-        for (const int64_t i : sent) {
-          if (!workers_[static_cast<size_t>(i)].alive) continue;
-          auto resp = recv_from_worker(i, Msg::kShardDone);
-          if (!resp.has_value()) {
-            notify_agents_died(mark_worker_dead(i));
-            continue;
-          }
-          tensor::ByteReader rr(resp->body);
+        for (const Reply& rep : call(live_worker_ids(), Msg::kShardCheckpoint,
+                                     frame.body, Msg::kShardDone)) {
+          tensor::ByteReader rr(rep.frame.body);
           paths.push_back(rr.str());
           rr.expect_done();
         }
@@ -336,30 +303,15 @@ class Coordinator {
         r.expect_done();
         COMDML_REQUIRE(agent >= 0 && agent < options_.spec.agents,
                        "leave agent " << agent << " out of range");
-        tensor::ByteWriter w;
-        w.i64(agent);
-        std::vector<int64_t> sent;
-        for (const int64_t i : live_worker_ids()) {
-          if (send_msg(workers_[static_cast<size_t>(i)].fd, Msg::kLeave,
-                       w.bytes()))
-            sent.push_back(i);
-          else
-            notify_agents_died(mark_worker_dead(i));
-        }
-        for (const int64_t i : sent) {
-          if (!workers_[static_cast<size_t>(i)].alive) continue;
-          if (!recv_from_worker(i, Msg::kAck).has_value())
-            notify_agents_died(mark_worker_dead(i));
-        }
+        (void)call(live_worker_ids(), Msg::kLeave, frame.body, Msg::kAck);
         agent_live_[static_cast<size_t>(agent)] = 0;
         agent_left_[static_cast<size_t>(agent)] = 1;
         reply(client, Msg::kAck, {});
         return false;
       }
       case Msg::kClientShutdown: {
-        for (const int64_t i : live_worker_ids())
-          (void)send_msg(workers_[static_cast<size_t>(i)].fd,
-                         Msg::kShutdown);
+        std::vector<int64_t> died;
+        (void)send_all(live_worker_ids(), Msg::kShutdown, {}, died);
         reply(client, Msg::kAck, {});
         return true;
       }
@@ -378,31 +330,25 @@ class Coordinator {
     sweep_and_notify();
     (void)first_alive_worker();
 
-    std::vector<int64_t> died_mid;
-    {
-      tensor::ByteWriter w;
-      w.i64(round_);
-      for (const int64_t i : live_worker_ids())
-        if (!send_msg(workers_[static_cast<size_t>(i)].fd, Msg::kRound,
-                      w.bytes()))
-          append(died_mid, mark_worker_dead(i));
-    }
-
     // Gather owned task results, merge, broadcast the full vector plus
     // every worker's borrowed agent state. This doubles as the round
     // barrier: every worker sits inside its exchange() until the merged
     // vector lands. A worker that dies here (crash mid-training) loses
     // its task slots — its agents ride the died list so the survivors
-    // kill them before forming the aggregation collective.
+    // kill them before forming the aggregation collective. Round phases
+    // pass no error sink: a worker answering kError has left the round.
+    std::vector<int64_t> died_mid;
+    tensor::ByteWriter round;
+    round.i64(round_);
     int64_t n_tasks = -1;
     std::vector<core::RealFleet::TaskResult> merged;
     std::vector<std::pair<int64_t, std::string>> blobs;
-    for (const int64_t i : live_worker_ids()) {
+    for (const Reply& rep :
+         recv_all(send_all(live_worker_ids(), Msg::kRound, round.bytes(),
+                           died_mid),
+                  Msg::kTaskResults, died_mid, nullptr)) {
       try {
-        const comm::WireFrame frame = expect_msg(
-            workers_[static_cast<size_t>(i)].fd, Msg::kTaskResults,
-            "worker");
-        tensor::ByteReader r(frame.body);
+        tensor::ByteReader r(rep.frame.body);
         const int64_t n = r.i64();
         if (n_tasks < 0) {
           n_tasks = n;
@@ -425,13 +371,18 @@ class Coordinator {
         }
         r.expect_done();
       } catch (const std::exception& e) {
-        std::fprintf(stderr, "fleetd: worker %lld lost mid-training: %s\n",
-                     (long long)i, e.what());
-        append(died_mid, mark_worker_dead(i));
+        std::fprintf(stderr, "fleetd: worker %lld sent bad task results: %s\n",
+                     (long long)rep.worker, e.what());
+        append(died_mid, mark_worker_dead(rep.worker));
       }
     }
     COMDML_REQUIRE(n_tasks >= 0,
                    "every worker died before reporting task results");
+    // From here on the survivors learn of a death through the collective
+    // agreement; the round's losses are announced once its last reply is
+    // in, so the next round starts from the same live set everywhere.
+    std::vector<int64_t> died;
+    std::vector<int64_t> waiting;
     {
       std::sort(died_mid.begin(), died_mid.end());
       tensor::ByteWriter w;
@@ -444,10 +395,8 @@ class Coordinator {
         w.str(blob);
       }
       w.i64s(died_mid);
-      for (const int64_t i : live_worker_ids())
-        if (!send_msg(workers_[static_cast<size_t>(i)].fd,
-                      Msg::kMergedResults, w.bytes()))
-          (void)mark_worker_dead(i);  // the sync barrier drops its agents
+      waiting = send_all(live_worker_ids(), Msg::kMergedResults, w.bytes(),
+                         died);
     }
 
     // Crash barrier: after every collective attempt the workers report
@@ -457,80 +406,49 @@ class Coordinator {
     // stale frame from the aborted schedule can pollute the retry) and
     // another attempt over the shrunk set.
     for (;;) {
-      struct SyncResp {
-        int64_t worker = 0;
-        bool ok = false;
-        std::vector<int64_t> view;
-      };
-      std::vector<SyncResp> resps;
-      for (const int64_t i : live_worker_ids()) {
+      std::vector<std::vector<int64_t>> views;
+      bool all_ok = true;
+      for (const Reply& rep :
+           recv_all(waiting, Msg::kCollectiveSync, died, nullptr)) {
         try {
-          const comm::WireFrame f = expect_msg(
-              workers_[static_cast<size_t>(i)].fd, Msg::kCollectiveSync,
-              "worker");
-          tensor::ByteReader r(f.body);
-          SyncResp resp;
-          resp.worker = i;
-          resp.ok = r.u8() != 0;
-          resp.view = r.i64s();
+          tensor::ByteReader r(rep.frame.body);
+          const bool ok = r.u8() != 0;
+          std::vector<int64_t> view = r.i64s();
           r.expect_done();
-          std::sort(resp.view.begin(), resp.view.end());
-          resps.push_back(std::move(resp));
+          std::sort(view.begin(), view.end());
+          all_ok = all_ok && ok;
+          views.push_back(std::move(view));
         } catch (const std::exception& e) {
-          std::fprintf(stderr,
-                       "fleetd: worker %lld lost in the collective: %s\n",
-                       (long long)i, e.what());
-          (void)mark_worker_dead(i);
+          std::fprintf(stderr, "fleetd: worker %lld sent a bad sync: %s\n",
+                       (long long)rep.worker, e.what());
+          append(died, mark_worker_dead(rep.worker));
         }
       }
-      COMDML_REQUIRE(!resps.empty(),
+      COMDML_REQUIRE(!views.empty(),
                      "every worker died inside the aggregation collective");
       std::vector<int64_t> agreed;
       {
         std::vector<int64_t> cnt(static_cast<size_t>(options_.spec.agents),
                                  0);
-        for (const SyncResp& resp : resps)
-          for (const int64_t a : resp.view)
+        for (const std::vector<int64_t>& view : views)
+          for (const int64_t a : view)
             if (a >= 0 && a < options_.spec.agents)
               ++cnt[static_cast<size_t>(a)];
         for (int64_t a = 0; a < options_.spec.agents; ++a)
           if (agent_live_[static_cast<size_t>(a)] != 0 &&
               cnt[static_cast<size_t>(a)] ==
-                  static_cast<int64_t>(resps.size()))
+                  static_cast<int64_t>(views.size()))
             agreed.push_back(a);
       }
-      bool all_ok = true;
-      for (const SyncResp& resp : resps)
-        if (!resp.ok || resp.view != agreed) {
-          all_ok = false;
-          break;
-        }
-      if (all_ok) {
-        tensor::ByteWriter w;
-        w.u8(1);
-        w.i64s(agreed);
-        for (const SyncResp& resp : resps)
-          if (workers_[static_cast<size_t>(resp.worker)].alive &&
-              !send_msg(workers_[static_cast<size_t>(resp.worker)].fd,
-                        Msg::kCollectiveAgree, w.bytes()))
-            (void)mark_worker_dead(resp.worker);
-        break;
-      }
-      ++mesh_gen_;
-      const std::vector<std::string> mesh =
-          mesh_addresses(options_.listen, options_.workers, mesh_gen_);
+      for (const std::vector<int64_t>& view : views)
+        all_ok = all_ok && view == agreed;
       tensor::ByteWriter w;
-      w.u8(0);
+      w.u8(all_ok ? 1 : 0);
       w.i64s(agreed);
-      w.i64(mesh_gen_);
-      w.i64s(live_worker_ids());
-      w.u32(static_cast<uint32_t>(mesh.size()));
-      for (const std::string& a : mesh) w.str(a);
-      for (const SyncResp& resp : resps)
-        if (workers_[static_cast<size_t>(resp.worker)].alive &&
-            !send_msg(workers_[static_cast<size_t>(resp.worker)].fd,
-                      Msg::kCollectiveAgree, w.bytes()))
-          (void)mark_worker_dead(resp.worker);
+      if (!all_ok) write_mesh(w, next_mesh(live_worker_ids()));
+      waiting = send_all(live_worker_ids(), Msg::kCollectiveAgree, w.bytes(),
+                         died);
+      if (all_ok) break;
     }
 
     // Every surviving worker finishes the round and reports its
@@ -538,27 +456,25 @@ class Coordinator {
     core::RoundReport report;
     bool have_report = false;
     std::vector<comm::TransportStats> parts;
-    for (const int64_t i : live_worker_ids()) {
+    for (const Reply& rep : recv_all(waiting, Msg::kRoundDone, died, nullptr)) {
       try {
-        const comm::WireFrame frame = expect_msg(
-            workers_[static_cast<size_t>(i)].fd, Msg::kRoundDone, "worker");
-        tensor::ByteReader r(frame.body);
-        const core::RoundReport rep = read_report(r);
+        tensor::ByteReader r(rep.frame.body);
+        const core::RoundReport done = read_report(r);
         parts.push_back(read_stats(r));
         r.expect_done();
         if (!have_report) {
-          report = rep;
+          report = done;
           have_report = true;
         }
       } catch (const std::exception& e) {
-        std::fprintf(stderr,
-                     "fleetd: worker %lld lost finishing the round: %s\n",
-                     (long long)i, e.what());
-        (void)mark_worker_dead(i);
+        std::fprintf(stderr, "fleetd: worker %lld sent a bad report: %s\n",
+                     (long long)rep.worker, e.what());
+        append(died, mark_worker_dead(rep.worker));
       }
     }
     COMDML_REQUIRE(have_report,
                    "every worker died before finishing the round");
+    notify_agents_died(std::move(died));
 
     // The losses are identical on every worker (that is the point); the
     // clock is not — each worker's transport only saw its own sends, so
@@ -583,91 +499,57 @@ class Coordinator {
   std::vector<uint8_t> gather_checkpoint() {
     sweep_and_notify();
     const int64_t target = first_alive_worker();
-    const int tfd = workers_[static_cast<size_t>(target)].fd;
     for (int64_t a = 0; a < options_.spec.agents; ++a) {
       if (agent_live_[static_cast<size_t>(a)] == 0) continue;
       const int64_t owner = owner_[static_cast<size_t>(a)];
-      if (owner == target ||
-          !workers_[static_cast<size_t>(owner)].alive)
-        continue;
-      comm::WireFrame state;
-      try {
-        tensor::ByteWriter req;
-        req.i64(a);
-        const int ofd = workers_[static_cast<size_t>(owner)].fd;
-        COMDML_REQUIRE(send_msg(ofd, Msg::kAgentStateReq, req.bytes()),
-                       "worker " << owner << " is gone");
-        state = expect_msg(ofd, Msg::kAgentState, "worker");
-      } catch (const std::exception& e) {
-        std::fprintf(stderr,
-                     "fleetd: worker %lld lost during checkpoint: %s\n",
-                     (long long)owner, e.what());
-        notify_agents_died(mark_worker_dead(owner));
-        continue;
-      }
-      COMDML_REQUIRE(send_msg(tfd, Msg::kLoadAgentState, state.body),
-                     "worker " << target << " is gone");
-      (void)expect_msg(tfd, Msg::kAck, "worker");
+      if (owner == target) continue;
+      tensor::ByteWriter req;
+      req.i64(a);
+      const std::vector<Reply> state =
+          call({owner}, Msg::kAgentStateReq, req.bytes(), Msg::kAgentState);
+      if (state.empty()) continue;  // the owner crashed; its agents died
+      COMDML_REQUIRE(!call({target}, Msg::kLoadAgentState,
+                           state[0].frame.body, Msg::kAck)
+                          .empty(),
+                     "worker " << target << " was lost during the checkpoint");
     }
-    COMDML_REQUIRE(send_msg(tfd, Msg::kCheckpointReq),
-                   "worker " << target << " is gone");
-    return expect_msg(tfd, Msg::kCheckpointBlob, "worker").body;
+    std::vector<Reply> blob =
+        call({target}, Msg::kCheckpointReq, {}, Msg::kCheckpointBlob);
+    COMDML_REQUIRE(!blob.empty(),
+                   "worker " << target << " was lost during the checkpoint");
+    return std::move(blob[0].frame.body);
   }
 
   /// Re-admit a re-spawned worker into slot `k`: ship it the spec + the
-  /// current mesh layout + a full consensus checkpoint, remesh the
-  /// survivors alongside it (the mesh rendezvous is the barrier), then
-  /// revive its crashed agents from consensus on every worker.
+  /// new mesh layout + a full consensus checkpoint, remesh the survivors
+  /// alongside it (the mesh rendezvous is the barrier), then revive its
+  /// crashed agents from consensus on every worker.
   void handle_rejoin(int fd, int64_t k) {
     COMDML_REQUIRE(k >= 0 && k < options_.workers,
                    "rejoin index " << k << " out of range");
     COMDML_REQUIRE(!workers_[static_cast<size_t>(k)].alive,
                    "worker " << k << " is alive; nothing to rejoin");
-    sweep_and_notify();
     const std::vector<uint8_t> ckpt = gather_checkpoint();
-    ++mesh_gen_;
-    const std::vector<std::string> mesh =
-        mesh_addresses(options_.listen, options_.workers, mesh_gen_);
     std::vector<int64_t> live = live_worker_ids();
     live.push_back(k);
     std::sort(live.begin(), live.end());
-    {
-      tensor::ByteWriter w;
-      write_spec(w, options_.spec);
-      w.i64(options_.workers);
-      w.i64s(owner_);
-      w.i64(mesh_gen_);
-      w.i64s(live);
-      w.u32(static_cast<uint32_t>(mesh.size()));
-      for (const std::string& a : mesh) w.str(a);
-      w.str(blob_to_str(ckpt));
-      COMDML_REQUIRE(send_msg(fd, Msg::kRejoinState, w.bytes()),
-                     "rejoining worker " << k << " vanished");
-    }
-    {
-      tensor::ByteWriter w;
-      w.i64(mesh_gen_);
-      w.i64s(live);
-      w.u32(static_cast<uint32_t>(mesh.size()));
-      for (const std::string& a : mesh) w.str(a);
-      for (const int64_t i : live_worker_ids())
-        if (!send_msg(workers_[static_cast<size_t>(i)].fd, Msg::kRemesh,
-                      w.bytes()))
-          notify_agents_died(mark_worker_dead(i));
-    }
+    const MeshLayout mesh = next_mesh(std::move(live));
+    tensor::ByteWriter state = start_body(mesh);
+    state.str(blob_to_str(ckpt));
+    COMDML_REQUIRE(send_msg(fd, Msg::kRejoinState, state),
+                   "rejoining worker " << k << " vanished");
+    std::vector<int64_t> died;
+    tensor::ByteWriter remesh;
+    write_mesh(remesh, mesh);
     // Everyone confirms the new mesh; the rejoiner's kReady also means
     // its restore from the consensus checkpoint finished.
+    (void)recv_all(
+        send_all(live_worker_ids(), Msg::kRemesh, remesh.bytes(), died),
+        Msg::kReady, died, nullptr);
     (void)expect_msg(fd, Msg::kReady, "rejoining worker");
-    for (const int64_t i : live_worker_ids()) {
-      try {
-        (void)expect_msg(workers_[static_cast<size_t>(i)].fd, Msg::kReady,
-                         "worker");
-      } catch (const std::exception&) {
-        notify_agents_died(mark_worker_dead(i));
-      }
-    }
     workers_[static_cast<size_t>(k)].fd = fd;
     workers_[static_cast<size_t>(k)].alive = true;
+    notify_agents_died(std::move(died));
 
     // Revive the agents the crash killed — but not agents a client
     // deliberately removed.
@@ -680,24 +562,103 @@ class Coordinator {
     if (!back.empty()) {
       tensor::ByteWriter w;
       w.i64s(back);
-      std::vector<int64_t> sent;
-      for (const int64_t i : live_worker_ids()) {
-        if (send_msg(workers_[static_cast<size_t>(i)].fd,
-                     Msg::kRejoinAgents, w.bytes()))
-          sent.push_back(i);
-        else
-          notify_agents_died(mark_worker_dead(i));
-      }
-      for (const int64_t i : sent) {
-        if (!workers_[static_cast<size_t>(i)].alive) continue;
-        if (!recv_from_worker(i, Msg::kAck).has_value())
-          notify_agents_died(mark_worker_dead(i));
-      }
+      (void)call(live_worker_ids(), Msg::kRejoinAgents, w.bytes(), Msg::kAck);
       for (const int64_t a : back) agent_live_[static_cast<size_t>(a)] = 1;
     }
     std::fprintf(stderr,
                  "fleetd: worker %lld rejoined (%lld agents revived)\n",
                  (long long)k, (long long)back.size());
+  }
+
+  /// kStart's body; kRejoinState appends the consensus checkpoint.
+  [[nodiscard]] tensor::ByteWriter start_body(const MeshLayout& mesh) const {
+    tensor::ByteWriter w;
+    write_spec(w, options_.spec);
+    w.i64(options_.workers);
+    w.i64s(owner_);
+    write_mesh(w, mesh);
+    return w;
+  }
+
+  /// A data mesh over `live` at a new generation, so a rebuilt mesh never
+  /// collides with the sockets of the one it replaces.
+  [[nodiscard]] MeshLayout next_mesh(std::vector<int64_t> live) {
+    return {std::move(live),
+            mesh_addresses(options_.listen, options_.workers, mesh_gen_++)};
+  }
+
+  // ---- worker fan-out -------------------------------------------------------
+
+  /// Send to all: one frame to each worker of `to`. Returns the workers it
+  /// reached; an unreachable one is marked dead and its agents appended to
+  /// `died`.
+  std::vector<int64_t> send_all(const std::vector<int64_t>& to, Msg type,
+                                const std::vector<uint8_t>& body,
+                                std::vector<int64_t>& died) {
+    std::vector<int64_t> sent;
+    for (const int64_t i : to) {
+      if (send_msg(workers_[static_cast<size_t>(i)].fd, type, body))
+        sent.push_back(i);
+      else
+        append(died, mark_worker_dead(i));
+    }
+    return sent;
+  }
+
+  /// Receive from all: exactly one reply from each worker of `sent`, in
+  /// order; the `want` replies are returned. A worker that disconnects or
+  /// sends any other frame is marked dead and its agents appended to
+  /// `died` — except a kError when `error` is non-null: that is the
+  /// worker's own failure, its text goes to `*error` (the first one wins)
+  /// and the worker stays.
+  std::vector<Reply> recv_all(const std::vector<int64_t>& sent, Msg want,
+                              std::vector<int64_t>& died,
+                              std::string* error) {
+    std::vector<Reply> replies;
+    for (const int64_t i : sent) {
+      std::optional<comm::WireFrame> frame;
+      std::string why = "disconnected";
+      try {
+        frame = comm::recv_frame(workers_[static_cast<size_t>(i)].fd);
+      } catch (const std::exception& e) {
+        why = e.what();
+      }
+      if (frame.has_value()) {
+        if (frame->type == static_cast<uint16_t>(want)) {
+          replies.push_back({i, std::move(*frame)});
+          continue;
+        }
+        const bool is_error = frame->type == static_cast<uint16_t>(Msg::kError);
+        if (is_error && error != nullptr) {
+          if (error->empty())
+            *error = "worker " + std::to_string(i) + ": " +
+                     blob_to_str(frame->body);
+          continue;
+        }
+        why = is_error ? "failed: " + blob_to_str(frame->body)
+                       : "sent frame type " + std::to_string(frame->type) +
+                             ", wanted " +
+                             std::to_string(static_cast<uint16_t>(want));
+      }
+      std::fprintf(stderr, "fleetd: worker %lld %s\n", (long long)i,
+                   why.c_str());
+      append(died, mark_worker_dead(i));
+    }
+    return replies;
+  }
+
+  /// A between-rounds request: send to `to`, receive from all of them,
+  /// announce the agents of any worker lost on the way, and only then
+  /// raise the first worker error. Returns the `want` replies.
+  std::vector<Reply> call(const std::vector<int64_t>& to, Msg type,
+                          const std::vector<uint8_t>& body, Msg want) {
+    std::vector<int64_t> died;
+    std::string error;
+    std::vector<Reply> replies =
+        recv_all(send_all(to, type, body, died), want, died, &error);
+    notify_agents_died(std::move(died));
+    if (!error.empty()) throw std::runtime_error(error);
+    return replies;
   }
 
   // ---- crash bookkeeping ----------------------------------------------------
@@ -743,30 +704,18 @@ class Coordinator {
 
   /// Tell every surviving worker (between rounds — they are all in their
   /// serve loops) that `died` agents are gone. A worker that fails the
-  /// notification is itself dead, and its agents join the next wave.
+  /// notification is itself dead, and its agents join the next wave; a
+  /// worker that cannot apply a death no longer matches the consensus
+  /// live set, so its kError counts as out of protocol.
   void notify_agents_died(std::vector<int64_t> died) {
     while (!died.empty()) {
       std::sort(died.begin(), died.end());
       tensor::ByteWriter w;
       w.i64s(died);
       std::vector<int64_t> next;
-      std::vector<int64_t> sent;
-      for (const int64_t i : live_worker_ids()) {
-        if (send_msg(workers_[static_cast<size_t>(i)].fd, Msg::kAgentsDied,
-                     w.bytes()))
-          sent.push_back(i);
-        else
-          append(next, mark_worker_dead(i));
-      }
-      for (const int64_t i : sent) {
-        if (!workers_[static_cast<size_t>(i)].alive) continue;
-        try {
-          (void)expect_msg(workers_[static_cast<size_t>(i)].fd, Msg::kAck,
-                           "worker");
-        } catch (const std::exception&) {
-          append(next, mark_worker_dead(i));
-        }
-      }
+      (void)recv_all(
+          send_all(live_worker_ids(), Msg::kAgentsDied, w.bytes(), next),
+          Msg::kAck, next, nullptr);
       died = std::move(next);
     }
   }
@@ -774,54 +723,12 @@ class Coordinator {
   /// Heartbeat sweep between rounds: ping every worker thought alive,
   /// mark the silent ones dead, and propagate their agents' deaths.
   void sweep_and_notify() {
-    std::vector<int64_t> died;
-    std::vector<int64_t> pinged;
-    for (const int64_t i : live_worker_ids()) {
-      if (send_msg(workers_[static_cast<size_t>(i)].fd, Msg::kPing))
-        pinged.push_back(i);
-      else
-        append(died, mark_worker_dead(i));
-    }
-    for (const int64_t i : pinged) {
-      try {
-        (void)expect_msg(workers_[static_cast<size_t>(i)].fd, Msg::kPong,
-                         "worker");
-      } catch (const std::exception&) {
-        append(died, mark_worker_dead(i));
-      }
-    }
-    notify_agents_died(std::move(died));
-  }
-
-  /// Receive one frame from worker `i` where only `want` or death make
-  /// sense: nullopt means the worker vanished (the caller marks it dead);
-  /// a kError frame throws — the worker is alive, its failure belongs to
-  /// the client driving this RPC.
-  [[nodiscard]] std::optional<comm::WireFrame> recv_from_worker(int64_t i,
-                                                                Msg want) {
-    auto frame = comm::recv_frame(workers_[static_cast<size_t>(i)].fd);
-    if (!frame.has_value()) return std::nullopt;
-    if (frame->type == static_cast<uint16_t>(Msg::kError))
-      throw std::runtime_error(
-          "worker " + std::to_string(i) + ": " +
-          std::string(frame->body.begin(), frame->body.end()));
-    COMDML_REQUIRE(frame->type == static_cast<uint16_t>(want),
-                   "worker " << i << " sent frame type " << frame->type
-                             << ", expected "
-                             << static_cast<uint16_t>(want));
-    return frame;
+    (void)call(live_worker_ids(), Msg::kPing, {}, Msg::kPong);
   }
 
   static void append(std::vector<int64_t>& into,
                      const std::vector<int64_t>& more) {
     into.insert(into.end(), more.begin(), more.end());
-  }
-
-  /// Join-phase broadcast: every worker must still be there.
-  void broadcast(Msg type, const std::vector<uint8_t>& body) {
-    for (size_t i = 0; i < workers_.size(); ++i)
-      COMDML_REQUIRE(send_msg(workers_[i].fd, type, body),
-                     "worker " << i << " is gone");
   }
 
   void reply(int client, Msg type, const std::vector<uint8_t>& body) {
@@ -840,9 +747,8 @@ class Coordinator {
   /// not resurrect these.
   std::vector<char> agent_left_;
   std::deque<int> pending_clients_;
-  /// Data-mesh generation; bumped on every remesh (crash recovery and
-  /// worker rejoin) so a rebuilt mesh never collides with the sockets of
-  /// the one it replaces.
+  /// Data-mesh generation of the next layout; bumped on every remesh
+  /// (crash recovery and worker rejoin).
   int64_t mesh_gen_ = 0;
   int64_t round_ = 0;
 };
@@ -865,45 +771,25 @@ int run_worker(const WorkerOptions& options) {
     const int fd = comm::dial(addr, 30.0);
     COMDML_REQUIRE(fd >= 0, "cannot reach coordinator at "
                                 << options.connect);
-    FleetSpec spec;
-    int64_t workers = 0;
-    std::vector<int64_t> owner;
-    std::vector<int64_t> live_workers;
-    std::vector<std::string> mesh_addrs;
-    std::vector<uint8_t> restore_blob;
-    if (!options.rejoin) {
+    // A joiner gets kStart; a rejoiner gets the same body followed by the
+    // consensus checkpoint it restores from.
+    {
       tensor::ByteWriter w;
       w.i64(options.index);
-      COMDML_REQUIRE(send_msg(fd, Msg::kJoin, w.bytes()),
-                     "coordinator closed the connection");
-      const comm::WireFrame start =
-          expect_msg(fd, Msg::kStart, "coordinator");
-      tensor::ByteReader r(start.body);
-      spec = read_spec(r);
-      workers = r.i64();
-      owner = r.i64s();
-      const uint32_t naddr = r.u32();
-      for (uint32_t i = 0; i < naddr; ++i) mesh_addrs.push_back(r.str());
-      r.expect_done();
-      for (int64_t i = 0; i < workers; ++i) live_workers.push_back(i);
-    } else {
-      tensor::ByteWriter w;
-      w.i64(options.index);
-      COMDML_REQUIRE(send_msg(fd, Msg::kRejoin, w.bytes()),
-                     "coordinator closed the connection");
-      const comm::WireFrame state =
-          expect_msg(fd, Msg::kRejoinState, "coordinator");
-      tensor::ByteReader r(state.body);
-      spec = read_spec(r);
-      workers = r.i64();
-      owner = r.i64s();
-      (void)r.i64();  // mesh generation, implied by the address list
-      live_workers = r.i64s();
-      const uint32_t naddr = r.u32();
-      for (uint32_t i = 0; i < naddr; ++i) mesh_addrs.push_back(r.str());
-      restore_blob = str_to_blob(r.str());
-      r.expect_done();
+      COMDML_REQUIRE(
+          send_msg(fd, options.rejoin ? Msg::kRejoin : Msg::kJoin, w),
+          "coordinator closed the connection");
     }
+    const comm::WireFrame start = expect_msg(
+        fd, options.rejoin ? Msg::kRejoinState : Msg::kStart, "coordinator");
+    tensor::ByteReader in(start.body);
+    const FleetSpec spec = read_spec(in);
+    const int64_t workers = in.i64();
+    const std::vector<int64_t> owner = in.i64s();
+    const MeshLayout layout = read_mesh(in);
+    const std::vector<uint8_t> restore_blob =
+        options.rejoin ? str_to_blob(in.str()) : std::vector<uint8_t>{};
+    in.expect_done();
 
     // The full deterministic fleet — identical replicas on every worker;
     // the DistContext below is what narrows training to owned agents.
@@ -916,15 +802,14 @@ int run_worker(const WorkerOptions& options) {
     // first so its reader threads and sockets are gone before the new
     // rendezvous starts.
     std::unique_ptr<comm::SocketTransport> mesh;
-    const auto build_mesh = [&](const std::vector<int64_t>& live,
-                                const std::vector<std::string>& addrs) {
+    const auto build_mesh = [&](const MeshLayout& next) {
       comm::SocketPeerConfig cfg;
       cfg.owner = owner;
       cfg.self = options.index;
-      cfg.addrs = addrs;
-      if (static_cast<int64_t>(live.size()) < workers) {
+      cfg.addrs = next.addrs;
+      if (static_cast<int64_t>(next.live.size()) < workers) {
         cfg.process_alive.assign(static_cast<size_t>(workers), 0);
-        for (const int64_t p : live)
+        for (const int64_t p : next.live)
           cfg.process_alive[static_cast<size_t>(p)] = 1;
       }
       mesh.reset();
@@ -933,7 +818,7 @@ int run_worker(const WorkerOptions& options) {
           cfg);
       mesh->wait_ready();
     };
-    build_mesh(live_workers, mesh_addrs);
+    build_mesh(layout);
 
     const CrashHook crash;
 
@@ -1001,17 +886,11 @@ int run_worker(const WorkerOptions& options) {
       tensor::ByteReader r(agree.body);
       const bool done = r.u8() != 0;
       std::vector<int64_t> agreed = r.i64s();
-      if (done) {
-        r.expect_done();
-        return {std::move(agreed), nullptr};
-      }
-      (void)r.i64();  // mesh generation, implied by the address list
-      const std::vector<int64_t> live = r.i64s();
-      const uint32_t naddr = r.u32();
-      std::vector<std::string> addrs;
-      for (uint32_t i = 0; i < naddr; ++i) addrs.push_back(r.str());
+      MeshLayout next;
+      if (!done) next = read_mesh(r);
       r.expect_done();
-      build_mesh(live, addrs);
+      if (done) return {std::move(agreed), nullptr};
+      build_mesh(next);
       return {std::move(agreed), mesh.get()};
     };
     rf->set_dist_context(std::move(ctx));
@@ -1059,13 +938,9 @@ int run_worker(const WorkerOptions& options) {
           }
           case Msg::kRemesh: {
             tensor::ByteReader req(frame->body);
-            (void)req.i64();  // mesh generation
-            const std::vector<int64_t> live = req.i64s();
-            const uint32_t naddr = req.u32();
-            std::vector<std::string> addrs;
-            for (uint32_t i = 0; i < naddr; ++i) addrs.push_back(req.str());
+            const MeshLayout next = read_mesh(req);
             req.expect_done();
-            build_mesh(live, addrs);
+            build_mesh(next);
             rf->set_dist_transport(mesh.get());
             (void)send_msg(fd, Msg::kReady);
             break;

@@ -155,6 +155,20 @@ core::RealFleet::TaskResult read_task_result(tensor::ByteReader& r) {
   return t;
 }
 
+void write_mesh(tensor::ByteWriter& w, const MeshLayout& mesh) {
+  w.i64s(mesh.live);
+  w.u32(static_cast<uint32_t>(mesh.addrs.size()));
+  for (const std::string& a : mesh.addrs) w.str(a);
+}
+
+MeshLayout read_mesh(tensor::ByteReader& r) {
+  MeshLayout mesh;
+  mesh.live = r.i64s();
+  const uint32_t n = r.u32();
+  for (uint32_t i = 0; i < n; ++i) mesh.addrs.push_back(r.str());
+  return mesh;
+}
+
 std::vector<int64_t> owner_map(int64_t agents, int64_t workers) {
   COMDML_REQUIRE(workers > 0 && agents >= workers,
                  "a fleet of " << agents << " agents cannot be partitioned "

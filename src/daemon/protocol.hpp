@@ -18,7 +18,7 @@
 //   workers -> coord   kCollectiveSync   (post-collective live view; loops
 //                                         with kCollectiveAgree until every
 //                                         survivor ran the agreed schedule)
-//   coord   -> workers kCollectiveAgree  (agreed live set [+ remesh info])
+//   coord   -> workers kCollectiveAgree  (agreed live set [+ MeshLayout])
 //   workers -> coord   kRoundDone        (RoundReport + transport snapshot)
 //   coord   -> client  kRoundReport      (merged stats folded in)
 // The kTaskResults/kMergedResults exchange doubles as the round barrier:
@@ -29,6 +29,22 @@
 // re-run the collective over the agreed survivor set (on a fresh data
 // mesh, so no stale frame from the aborted schedule can pollute it), and
 // the round completes with RoundStats::dropped_agents populated.
+//
+// Fan-out rule: every coordinator request to several workers sends one
+// frame to each live worker, then reads exactly one reply from each worker
+// it reached, so no reply is ever left unread for a later exchange. A
+// worker is marked dead only when it is unreachable, disconnects, or sends
+// a frame outside the protocol; the agents of workers lost in a fan-out
+// are announced (kAgentsDied) only after its last reply is read. Between
+// rounds a worker's kError is its own failure: it is raised to the client
+// once the other replies are drained, and the worker stays. Round phases
+// have no error reply, so there a kError means the worker left the round.
+//
+// Every data-mesh layout (kStart, kRejoinState, kRemesh, kCollectiveAgree)
+// is one MeshLayout record: the live workers and every worker's mesh
+// address. The mesh generation that keeps those addresses unique is the
+// coordinator's own counter, folded into the addresses by
+// mesh_addresses(); it is not on the wire.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +64,7 @@ namespace comdml::daemon {
 enum class Msg : uint16_t {
   // coordinator <-> worker
   kJoin = 1,         ///< worker -> coord: i64 worker index
-  kStart,            ///< coord -> worker: spec, workers, owner map, mesh addrs
+  kStart,            ///< coord -> worker: spec, workers, owner map, mesh
   kReady,            ///< worker -> coord: data mesh connected
   kRound,            ///< coord -> worker: i64 round index
   kTaskResults,      ///< worker -> coord: owned (task, TaskResult) slots
@@ -72,12 +88,11 @@ enum class Msg : uint16_t {
   kAgentsDied,       ///< coord -> worker: i64s agents; reply kAck
   kCollectiveSync,   ///< worker -> coord: u8 attempt-ok + i64s live view
   kCollectiveAgree,  ///< coord -> worker: u8 done + i64s agreed live set
-                     ///< [+ i64 mesh gen, i64s live workers, u32+addrs]
+                     ///< [+ mesh when not done]
   kRejoin,           ///< respawned worker -> coord: i64 worker index
-  kRejoinState,      ///< coord -> rejoiner: spec, workers, owner, mesh gen,
-                     ///< live workers, addrs, full checkpoint blob
-  kRemesh,           ///< coord -> worker: mesh gen, live workers, addrs;
-                     ///< reply kReady once the new mesh formed
+  kRejoinState,      ///< coord -> rejoiner: kStart's body + full checkpoint
+  kRemesh,           ///< coord -> worker: mesh; reply kReady once the new
+                     ///< mesh formed
   kRejoinAgents,     ///< coord -> worker: i64s agents to rejoin; reply kAck
   kShardCheckpoint,  ///< coord -> worker: str dir; reply kShardDone
   kShardDone,        ///< worker -> coord: str shard path
@@ -130,6 +145,15 @@ void write_task_result(tensor::ByteWriter& w,
 [[nodiscard]] core::RealFleet::TaskResult read_task_result(
     tensor::ByteReader& r);
 
+/// The data mesh a worker connects its SocketTransport over.
+struct MeshLayout {
+  std::vector<int64_t> live;       ///< live worker indices, ascending
+  std::vector<std::string> addrs;  ///< one mesh address per worker slot
+};
+
+void write_mesh(tensor::ByteWriter& w, const MeshLayout& mesh);
+[[nodiscard]] MeshLayout read_mesh(tensor::ByteReader& r);
+
 /// agent -> worker, round-robin (agent % workers): every worker owns at
 /// least one agent whenever workers <= agents.
 [[nodiscard]] std::vector<int64_t> owner_map(int64_t agents,
@@ -142,8 +166,7 @@ void write_task_result(tensor::ByteWriter& w,
 /// tcp ports up by `workers * generation`, so a rebuilt mesh can never
 /// collide with sockets left behind by the one it replaces.
 [[nodiscard]] std::vector<std::string> mesh_addresses(
-    const std::string& control_addr, int64_t workers,
-    int64_t generation = 0);
+    const std::string& control_addr, int64_t workers, int64_t generation);
 
 /// Aggregation protocol a spec names ("hd" | "ring"); any other name
 /// throws std::invalid_argument.

@@ -214,7 +214,12 @@ TEST(Baselines, FedProxSlowerComputeThanFedAvg) {
                      small_options(), mesh(10, 11), iid_sizes(10));
   BaselineFleet avg(Method::kFedAvg, nn::resnet56_spec(), small_options(),
                     mesh(10, 11), iid_sizes(10));
-  EXPECT_GT(prox.step().compute_time, avg.step().compute_time);
+  // Same seed, same participants: FedProx's proximal term scales every
+  // solo time, so the round's compute time, by exactly its overhead. The
+  // overhead itself is pinned because no paper bench runs FedProx.
+  EXPECT_EQ(baselines::kFedProxComputeOverhead, 1.05);
+  EXPECT_NEAR(prox.step().compute_time / avg.step().compute_time,
+              baselines::kFedProxComputeOverhead, 1e-12);
 }
 
 // ---- parameter-server star grid --------------------------------------------

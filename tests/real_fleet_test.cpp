@@ -190,6 +190,28 @@ TEST(RealFleet, RejectsShardTopologyMismatch) {
                std::invalid_argument);
 }
 
+TEST(RealFleet, DistContextNeedsExchangeAndCollectiveSync) {
+  // The coordinator-arbitrated retry is the only multi-process recovery
+  // loop, so a context that could not reach it is refused up front.
+  FleetOptions opt;
+  RealFleet fleet(mlp_factory(6, 3), 3, blob_shards(4, 40, 3, 6, 1),
+                  hetero_mesh(4), opt);
+  comm::InProcTransport transport(comm::LinkGrid::from_topology(hetero_mesh(4)));
+  RealFleet::DistContext ctx;
+  ctx.shard = 0;
+  ctx.shards = 2;
+  ctx.owner = {0, 1, 0, 1};
+  ctx.transport = &transport;
+  ctx.exchange = [](RealFleet::ExchangeIO&) {};
+  try {
+    fleet.set_dist_context(ctx);
+    ADD_FAILURE() << "a context without collective_sync must be refused";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("collective sync"), std::string::npos)
+        << e.what();
+  }
+}
+
 // ---- real baselines ---------------------------------------------------------------
 
 class RealBaselineP : public ::testing::TestWithParam<Method> {};
@@ -239,6 +261,23 @@ TEST(RealBaselines, GossipReplicasMayDiverge) {
     if (!tensor::allclose(fleet.model(a).forward(x, false), y0, 1e-6f))
       ++diverged;
   EXPECT_GT(diverged, 0);
+}
+
+TEST(RealBaselines, GossipChargesTheConfiguredLatency) {
+  // Each gossip push costs latency + bytes / bandwidth, so raising the
+  // configured link latency moves the round's aggregation time by exactly
+  // the difference (training and the partner draw do not depend on it).
+  const auto aggregation_seconds = [](double latency) {
+    FleetOptions opt;
+    opt.comms.latency_sec = latency;
+    RealBaselineFleet fleet(Method::kGossip, mlp_factory(6, 3), 3,
+                            blob_shards(4, 40, 3, 6, 15), hetero_mesh(4),
+                            opt);
+    return fleet.step().aggregation_seconds;
+  };
+  const double base = aggregation_seconds(comm::kDefaultLatencySec);
+  EXPECT_NEAR(aggregation_seconds(0.05) - base,
+              0.05 - comm::kDefaultLatencySec, 1e-12);
 }
 
 TEST(RealBaselines, FedAvgToleratesDisconnectedAgent) {

@@ -660,7 +660,8 @@ TEST(FleetClient, FailsFastOnStaleControlSocket) {
 }
 
 /// 3-worker/6-agent crash fixture: worker 2 (owner of agents 2 and 5, by
-/// the round-robin owner map) is armed to _exit(137) at `point` of round 1.
+/// the round-robin owner map) is armed to _exit(137) at `point` of round 1;
+/// an empty point arms nothing.
 struct CrashFleet {
   std::string bin;
   std::string addr;
@@ -677,7 +678,7 @@ struct CrashFleet {
     reaper.pids.push_back(coord);
     for (int i = 0; i < 3; ++i) {
       SpawnEnv env;
-      if (i == 2)
+      if (i == 2 && !crash_point.empty())
         env = {{"COMDML_TEST_CRASH_AT_ROUND", "1"},
                {"COMDML_TEST_CRASH_POINT", crash_point}};
       workers[static_cast<size_t>(i)] =
@@ -853,6 +854,73 @@ TEST(Fleetd, CrashedWorkerRejoinsFromConsensusBetweenRounds) {
   EXPECT_EQ(ref.rounds_executed(), 2);
   const core::RoundReport want = ref.step();
   EXPECT_EQ(healed.mean_loss, want.mean_loss);
+  EXPECT_EQ(dist_weights, fleet_weights(ref));
+}
+
+TEST(Fleetd, WorkerErrorInAFanOutCostsNoWorker) {
+  CrashFleet fleet;
+  if (!fleet.start("")) GTEST_SKIP() << "fleetd binary not built";
+
+  FleetClient client(fleet.addr, /*timeout_sec=*/60.0);
+  (void)client.round();
+  // Every worker fails to create the shard directory and answers kError.
+  // The client gets a worker's text; every other reply is drained, so no
+  // stale frame is left to be misread by the next exchange.
+  try {
+    (void)client.shard_checkpoint("/dev/null/x");
+    ADD_FAILURE() << "a shard directory under /dev/null must fail";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/null/x"), std::string::npos)
+        << e.what();
+  }
+  std::vector<core::RoundReport> dist;
+  for (int64_t r = 0; r < 2; ++r) dist.push_back(client.round());
+  const std::vector<uint8_t> dist_weights = client.weights();
+  client.shutdown();
+
+  EXPECT_EQ(wait_with_timeout(fleet.coord, 30.0), 0);
+  for (const pid_t w : fleet.workers) EXPECT_EQ(wait_with_timeout(w, 30.0), 0);
+  for (const core::RoundReport& rep : dist) EXPECT_EQ(rep.dropped_agents, 0);
+
+  FleetSpec spec;
+  spec.agents = 6;
+  core::FleetRuntime ref = build_spec_fleet(spec);
+  for (int64_t r = 0; r < 3; ++r) (void)ref.step();
+  EXPECT_EQ(dist_weights, fleet_weights(ref));
+}
+
+TEST(Fleetd, KilledWorkerCostsOnlyItsOwnAgents) {
+  CrashFleet fleet;
+  if (!fleet.start("")) GTEST_SKIP() << "fleetd binary not built";
+
+  FleetClient client(fleet.addr, /*timeout_sec=*/60.0);
+  (void)client.round();
+  ::kill(fleet.workers[1], SIGKILL);
+  EXPECT_EQ(wait_with_timeout(fleet.workers[1], 30.0), -2)
+      << "worker 1 must die by the signal";
+  // The stats fan-out finds the corpse. Only worker 1's agents (1 and 4)
+  // die, and the survivors hear of it after their stats replies are read.
+  const comm::TransportStats stats = client.stats();
+  EXPECT_GT(stats.messages, 0);
+  const core::RoundReport after = client.round();
+  EXPECT_EQ(after.round, 1);
+  EXPECT_EQ(after.dropped_agents, 0)
+      << "the agents died between rounds, not during one";
+  const std::vector<uint8_t> dist_weights = client.weights();
+  client.shutdown();
+
+  EXPECT_EQ(wait_with_timeout(fleet.coord, 30.0), 0);
+  EXPECT_EQ(wait_with_timeout(fleet.workers[0], 30.0), 0);
+  EXPECT_EQ(wait_with_timeout(fleet.workers[2], 30.0), 0);
+
+  FleetSpec spec;
+  spec.agents = 6;
+  core::FleetRuntime ref = build_spec_fleet(spec);
+  (void)ref.step();
+  ref.leave(1);
+  ref.leave(4);
+  const core::RoundReport want = ref.step();
+  EXPECT_EQ(after.mean_loss, want.mean_loss);
   EXPECT_EQ(dist_weights, fleet_weights(ref));
 }
 
